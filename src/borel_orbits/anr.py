@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -140,16 +141,9 @@ def w0l_action(rs: RootSystem, node: int, s: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
+@cache
 def _w0l(rs: RootSystem, node: int) -> weyl.WeylElement:
-    cache = getattr(rs, "_w0l_cache", None)
-    if cache is None:
-        cache = {}
-        rs._w0l_cache = cache
-    w = cache.get(node)
-    if w is None:
-        w = weyl.longest_element(rs, [i for i in range(rs.rank) if i != node])
-        cache[node] = w
-    return w
+    return weyl.longest_element(rs, [i for i in range(rs.rank) if i != node])
 
 
 @dataclass(frozen=True)

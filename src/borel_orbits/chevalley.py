@@ -5,11 +5,16 @@ positive root, the generating pair whose first member is smallest in
 the fixed root order gets a positive constant, and every other constant
 is forced by antisymmetry and the Jacobi identity.  All values are
 exact integers of absolute value p+1 for the relevant root string.
+
+The exp(ad) action on an ideal and the coadjoint action on its dual are
+one routine that follows root strings up or down by delta; the sides
+differ only where a string leaves the ideal: ad fails, coad truncates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -26,8 +31,7 @@ class StructureTable:
         self.base_sign = base_sign
         self._pos: Dict[Tuple[int, int], int] = {}
         self._signed_cache: Dict[Tuple[int, int, int, int], int] = {}
-        self._ad_chains: Dict[int, tuple] = {}
-        self._coad_chains: Dict[int, tuple] = {}
+        self._chains: Dict[Tuple[int, bool], tuple] = {}
         self._build()
 
     # -- p-values and the positive table -------------------------------
@@ -132,12 +136,15 @@ class StructureTable:
 
     # -- exp(ad) chains --------------------------------------------------
 
-    def ad_chain(self, delta: int) -> tuple:
-        """Per source root: ((target, coefficient_of_t^k, k), ...) going up by delta."""
-        hit = self._ad_chains.get(delta)
+    def chain(self, delta: int, up: bool) -> tuple:
+        """Per source root: ((target, coefficient_of_t^k, k), ...) going up by
+        delta (the ad action) or down by delta through positive roots (coad)."""
+        hit = self._chains.get((delta, up))
         if hit is not None:
             return hit
         rs = self.rs
+        step = rs.sum_index if up else rs.diff_index
+        sign = 1 if up else -1
         chains = []
         for src in range(rs.num_positive):
             entries = []
@@ -145,41 +152,16 @@ class StructureTable:
             prod = 1
             k = 0
             while True:
-                nxt = rs.sum_index[cur][delta]
+                nxt = step[cur][delta]
                 if nxt < 0:
                     break
-                prod *= self.structure_constant(1, delta, 1, cur)
+                prod *= self.structure_constant(1, delta, sign, cur)
                 k += 1
                 entries.append((nxt, Fraction(prod, factorial(k)), k))
                 cur = nxt
             chains.append(tuple(entries))
         chains = tuple(chains)
-        self._ad_chains[delta] = chains
-        return chains
-
-    def coad_chain(self, delta: int) -> tuple:
-        """Per source root: chain going down by delta through positive roots."""
-        hit = self._coad_chains.get(delta)
-        if hit is not None:
-            return hit
-        rs = self.rs
-        chains = []
-        for src in range(rs.num_positive):
-            entries = []
-            cur = src
-            prod = 1
-            k = 0
-            while True:
-                nxt = rs.diff_index[cur][delta]
-                if nxt < 0:
-                    break
-                prod *= self.structure_constant(1, delta, -1, cur)
-                k += 1
-                entries.append((nxt, Fraction(prod, factorial(k)), k))
-                cur = nxt
-            chains.append(tuple(entries))
-        chains = tuple(chains)
-        self._coad_chains[delta] = chains
+        self._chains[(delta, up)] = chains
         return chains
 
     def to_json(self) -> list:
@@ -192,35 +174,41 @@ class StructureTable:
 
 def build_structure_table(rs: RootSystem, base_sign: int = 1) -> StructureTable:
     """Build (or fetch the cached) structure table for one sign convention."""
-    cache = getattr(rs, "_chevalley", None)
-    if cache is None:
-        cache = {}
-        rs._chevalley = cache
-    table = cache.get(base_sign)
-    if table is None:
-        table = StructureTable(rs, base_sign)
-        cache[base_sign] = table
-    return table
+    return _structure_table(rs, base_sign)
+
+
+@cache
+def _structure_table(rs: RootSystem, base_sign: int) -> StructureTable:
+    # one key per (system, sign), however the caller spelled the arguments
+    return StructureTable(rs, base_sign)
+
+
+def _exp_action(table: StructureTable, delta: int, t: Fraction,
+                v: Mapping[int, Fraction], ideal: Iterable[int], up: bool) -> dict:
+    a = frozenset(ideal)
+    out = {k: Fraction(c) for k, c in v.items() if c}
+    if t == 0:
+        return out
+    chains = table.chain(delta, up)
+    for src, c in list(v.items()):
+        if not c:
+            continue
+        if src not in a:
+            raise ValueError(("vector" if up else "covector")
+                             + " support must lie inside the ideal")
+        for tgt, fac, k in chains[src]:
+            if tgt not in a:
+                if up:
+                    raise AssertionError("ideal is not upward closed under the action")
+                continue
+            out[tgt] = out.get(tgt, Fraction(0)) + c * fac * t ** k
+    return {k: c for k, c in out.items() if c != 0}
 
 
 def ad_exp_action(table: StructureTable, delta: int, t: Fraction,
                   v: Mapping[int, Fraction], ideal: Iterable[int]) -> dict:
     """Coefficients of exp(t ad e_delta) applied to a vector of the ideal."""
-    a = frozenset(ideal)
-    out = {k: Fraction(c) for k, c in v.items() if c}
-    if t == 0:
-        return out
-    chains = table.ad_chain(delta)
-    for src, c in list(v.items()):
-        if not c:
-            continue
-        if src not in a:
-            raise ValueError("vector support must lie inside the ideal")
-        for tgt, fac, k in chains[src]:
-            if tgt not in a:
-                raise AssertionError("ideal is not upward closed under the action")
-            out[tgt] = out.get(tgt, Fraction(0)) + c * fac * t ** k
-    return {k: c for k, c in out.items() if c != 0}
+    return _exp_action(table, delta, t, v, ideal, up=True)
 
 
 def coad_exp_action(table: StructureTable, delta: int, t: Fraction,
@@ -230,20 +218,7 @@ def coad_exp_action(table: StructureTable, delta: int, t: Fraction,
     Weights that leave the ideal are truncated away; the surviving
     chains only ever step down through positive roots.
     """
-    a = frozenset(ideal)
-    out = {k: Fraction(c) for k, c in xi.items() if c}
-    if t == 0:
-        return out
-    chains = table.coad_chain(delta)
-    for src, c in list(xi.items()):
-        if not c:
-            continue
-        if src not in a:
-            raise ValueError("covector support must lie inside the ideal")
-        for tgt, fac, k in chains[src]:
-            if tgt in a:
-                out[tgt] = out.get(tgt, Fraction(0)) + c * fac * t ** k
-    return {k: c for k, c in out.items() if c != 0}
+    return _exp_action(table, delta, t, xi, ideal, up=False)
 
 
 # -- full bracket on the Chevalley basis (used by tests and demos) ------

@@ -13,13 +13,6 @@ from typing import Iterable, List, Tuple
 from .root_system import RootSystem, min_elements
 
 
-def _mask_of(roots: Iterable[int]) -> int:
-    m = 0
-    for i in roots:
-        m |= 1 << i
-    return m
-
-
 def _set_of(mask: int) -> frozenset:
     out = []
     i = 0

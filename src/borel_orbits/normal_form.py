@@ -1,10 +1,12 @@
 """Reduction of (co)vectors of an abelian ideal to canonical representatives.
 
-The layered procedure peels minimal (resp. maximal) support elements,
-kills the shifted coefficients with root-group elements whose parameter
-solves an exact linear equation, and finishes with a torus scaling.
-Every step is recorded in a transcript whose replay reproduces the
-reached vector exactly.
+One routine, parameterised by side, reduces vectors of the ideal and
+covectors of its dual.  It peels minimal (resp. maximal) support layers
+into S, kills the coefficients on M_S (resp. M*_S) with exp(ad) (resp.
+the coadjoint action) of root-group elements whose parameter solves an
+exact linear equation, and finishes with a torus scaling.  Every step is
+recorded in a transcript whose replay reproduces the reached vector
+exactly.
 
 Over the rationals the final scaling to all-ones coefficients is not
 always possible (it may require extracting roots); the transcript
@@ -21,9 +23,9 @@ from typing import Iterable, Mapping, Optional, Tuple
 
 from . import orbits
 from .chevalley import StructureTable, ad_exp_action, build_structure_table, coad_exp_action
-from .ideals import check_abelian_ideal, ideal_generated
+from .ideals import check_abelian_ideal
 from .intlin import nth_root_fraction, smith_normal_form
-from .root_system import RootSystem, max_elements, min_elements, strongly_orthogonal
+from .root_system import RootSystem, max_elements, min_elements, non_orthogonal_pair
 
 
 @dataclass(frozen=True)
@@ -111,178 +113,138 @@ def _apply_torus(rs: RootSystem, lam, v: dict, sign: int) -> dict:
     return {k: c * char_value(lam, rs.positive_roots[k], sign) for k, c in v.items()}
 
 
-def _check_strongly_orthogonal(rs: RootSystem, items) -> None:
-    items = sorted(items)
-    for x in range(len(items)):
-        for y in range(x + 1, len(items)):
-            if not strongly_orthogonal(rs, items[x], items[y]):
-                raise AssertionError(
-                    f"accumulated set is not strongly orthogonal: "
-                    f"{rs.root_label(items[x])}, {rs.root_label(items[y])}")
-
-
-def _assert_linear_kill(rs: RootSystem, supp, nu: int, delta: int) -> None:
-    # only the k=1 source may carry support, otherwise the kill is not linear
-    cur = nu
-    k = 0
-    while True:
-        prev = rs.diff_index[cur][delta]
-        if prev < 0:
-            return
+def _assert_linear_kill(walk, supp, nu: int, delta: int, what: str) -> None:
+    # walking away from nu along delta, only the first root may carry
+    # support, otherwise the kill is not linear
+    cur = walk[nu][delta]
+    k = 1
+    while cur >= 0:
+        if k >= 2 and cur in supp:
+            raise AssertionError(f"{what}kill step would be nonlinear; minimality violated")
+        cur = walk[cur][delta]
         k += 1
-        if k >= 2 and prev in supp:
-            raise AssertionError("kill step would be nonlinear; minimality violated")
-        cur = prev
 
 
-def reduce_in_ideal(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
-                    table: Optional[StructureTable] = None):
-    """Reduce a vector of the ideal to its orbit label S and a transcript."""
-    a = check_abelian_ideal(rs, ideal)
-    if table is None:
-        table = build_structure_table(rs)
-    vec = _clean_vector(rs, a, v)
-    steps = []
-    acc: list = []
-    while True:
-        rest = set(vec) - set(acc)
-        if not rest:
-            break
-        acc.extend(sorted(min_elements(rs, rest)))
-        _check_strongly_orthogonal(rs, acc)
-        while True:
-            shifted = orbits.shift_up(rs, acc)
-            targets = shifted & set(vec)
-            if not targets:
-                break
-            nu = min(min_elements(rs, targets))
-            gamma = next(g for g in acc if rs.diff_index[nu][g] >= 0)
-            delta = rs.diff_index[nu][gamma]
-            _assert_linear_kill(rs, set(vec), nu, delta)
-            n = table.structure_constant(1, delta, 1, gamma)
-            t = -vec[nu] / (n * vec[gamma])
-            before = {g: vec[g] for g in acc}
-            old_gen = ideal_generated(rs, targets)
-            vec = ad_exp_action(table, delta, t, vec, a)
-            steps.append((delta, t))
-            if nu in vec:
-                raise AssertionError("kill step failed to remove its target")
-            if any(vec.get(g) != c for g, c in before.items()):
-                raise AssertionError("kill step changed a coefficient on S")
-            new_gen = ideal_generated(rs, shifted & set(vec))
-            if not new_gen < old_gen:
-                raise AssertionError("kill phase is not making progress")
-    s = frozenset(acc)
-    if set(vec) != s:
-        raise AssertionError("reduction finished with support different from S")
-    order = sorted(s)
-    lam = _solve_scalings(rs, order, [1 / vec[g] for g in order], sign=1)
-    normalized = lam is not None
-    if normalized:
-        vec = _apply_torus(rs, lam, vec, 1)
-    else:
-        lam = tuple(Fraction(1) for _ in range(rs.rank))
-    transcript = ReductionTranscript("primal", tuple(steps), lam, normalized, dict(vec))
-    return s, transcript
-
-
-def _downward_hull(rs: RootSystem, ideal: frozenset, roots) -> frozenset:
+def _hull(rs: RootSystem, ideal: frozenset, roots, up: bool) -> frozenset:
+    """Roots of the ideal above (up) or below at least one of the given roots."""
+    masks = rs.up_masks
     out = set()
     for m in ideal:
         for g in roots:
-            if rs.up_masks[m] & (1 << g):
+            if (masks[g] >> m if up else masks[m] >> g) & 1:
                 out.add(m)
                 break
     return frozenset(out)
 
 
-def reduce_in_dual(rs: RootSystem, ideal: Iterable[int], xi: Mapping[int, Fraction],
-                   table: Optional[StructureTable] = None):
-    """Dual-side reduction, peeling maximal support layers downwards."""
+def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
+            table: Optional[StructureTable], side: str):
     a = check_abelian_ideal(rs, ideal)
     if table is None:
         table = build_structure_table(rs)
-    vec = _clean_vector(rs, a, xi)
+    vec = _clean_vector(rs, a, v)
+    # the side fixes the peeling (min or max), the walk along delta (down
+    # or up), the action (ad or coad) and the sign of the torus character
+    primal = side == "primal"
+    if primal:
+        sign, extremes, walk, action = 1, min_elements, rs.diff_index, ad_exp_action
+    else:
+        sign, extremes, walk, action = -1, max_elements, rs.sum_index, coad_exp_action
+    what = "" if primal else "dual "
     steps = []
     acc: list = []
     while True:
         rest = set(vec) - set(acc)
         if not rest:
             break
-        acc.extend(sorted(max_elements(rs, rest)))
-        _check_strongly_orthogonal(rs, acc)
+        acc.extend(sorted(extremes(rs, rest)))
+        bad = non_orthogonal_pair(rs, acc)
+        if bad is not None:
+            raise AssertionError(
+                f"accumulated set is not strongly orthogonal: "
+                f"{rs.root_label(bad[0])}, {rs.root_label(bad[1])}")
         while True:
-            shifted = orbits.shift_down(rs, a, acc)
+            shifted = orbits.shift_up(rs, acc) if primal else orbits.shift_down(rs, a, acc)
             targets = shifted & set(vec)
             if not targets:
                 break
-            nu = min(max_elements(rs, targets))
-            gamma = next(g for g in acc if rs.diff_index[g][nu] >= 0)
-            delta = rs.diff_index[gamma][nu]
-            # sources above nu along delta beyond gamma would break linearity
-            above = rs.sum_index[nu][delta]
-            cur = above
-            k = 1
-            while cur >= 0:
-                if k >= 2 and cur in vec:
-                    raise AssertionError("dual kill step would be nonlinear")
-                cur = rs.sum_index[cur][delta]
-                k += 1
-            n = table.structure_constant(1, delta, -1, gamma)
+            nu = min(extremes(rs, targets))
+            # nu = gamma + delta (primal) or gamma - delta (dual), gamma in S
+            for gamma in acc:
+                delta = rs.diff_index[nu][gamma] if primal else rs.diff_index[gamma][nu]
+                if delta >= 0:
+                    break
+            else:
+                raise AssertionError(f"{what}kill target is not a shift of S")
+            _assert_linear_kill(walk, vec, nu, delta, what)
+            n = table.structure_constant(1, delta, sign, gamma)
             t = -vec[nu] / (n * vec[gamma])
             before = {g: vec[g] for g in acc}
-            old_hull = _downward_hull(rs, a, targets)
-            vec = coad_exp_action(table, delta, t, vec, a)
+            old_hull = _hull(rs, a, targets, primal)
+            vec = action(table, delta, t, vec, a)
             steps.append((delta, t))
             if nu in vec:
-                raise AssertionError("dual kill step failed to remove its target")
+                raise AssertionError(f"{what}kill step failed to remove its target")
             if any(vec.get(g) != c for g, c in before.items()):
-                raise AssertionError("dual kill step changed a coefficient on S")
-            new_hull = _downward_hull(rs, a, shifted & set(vec))
-            if not new_hull < old_hull:
-                raise AssertionError("dual kill phase is not making progress")
+                raise AssertionError(f"{what}kill step changed a coefficient on S")
+            if not _hull(rs, a, shifted & set(vec), primal) < old_hull:
+                raise AssertionError(f"{what}kill phase is not making progress")
     s = frozenset(acc)
     if set(vec) != s:
-        raise AssertionError("dual reduction finished with support different from S")
+        raise AssertionError(f"{what}reduction finished with support different from S")
     order = sorted(s)
-    lam = _solve_scalings(rs, order, [1 / vec[g] for g in order], sign=-1)
+    lam = _solve_scalings(rs, order, [1 / vec[g] for g in order], sign)
     normalized = lam is not None
     if normalized:
-        vec = _apply_torus(rs, lam, vec, -1)
+        vec = _apply_torus(rs, lam, vec, sign)
     else:
         lam = tuple(Fraction(1) for _ in range(rs.rank))
-    transcript = ReductionTranscript("dual", tuple(steps), lam, normalized, dict(vec))
-    return s, transcript
+    return s, ReductionTranscript(side, tuple(steps), lam, normalized, dict(vec))
+
+
+def reduce_in_ideal(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
+                    table: Optional[StructureTable] = None):
+    """Reduce a vector of the ideal to its orbit label S and a transcript."""
+    return _reduce(rs, ideal, v, table, "primal")
+
+
+def reduce_in_dual(rs: RootSystem, ideal: Iterable[int], xi: Mapping[int, Fraction],
+                   table: Optional[StructureTable] = None):
+    """Dual-side reduction, peeling maximal support layers downwards."""
+    return _reduce(rs, ideal, xi, table, "dual")
+
+
+def _trajectory(rs: RootSystem, ideal: Iterable[int], ops, v: Mapping[int, Fraction],
+                side: str, table: Optional[StructureTable]) -> list:
+    """The vector before and after each ("unipotent", delta, t) or ("torus", lam) op."""
+    a = check_abelian_ideal(rs, ideal)
+    if table is None:
+        table = build_structure_table(rs)
+    sign, action = (1, ad_exp_action) if side == "primal" else (-1, coad_exp_action)
+    vec = _clean_vector(rs, a, v)
+    out = [vec]
+    for op in ops:
+        if op[0] == "torus":
+            vec = _apply_torus(rs, op[1], vec, sign)
+        else:
+            vec = action(table, op[1], op[2], vec, a)
+        out.append(vec)
+    return out
 
 
 def replay(rs: RootSystem, ideal: Iterable[int], transcript: ReductionTranscript,
            v: Mapping[int, Fraction], table: Optional[StructureTable] = None) -> dict:
     """Apply the recorded steps to a vector; must reproduce transcript.result."""
-    a = check_abelian_ideal(rs, ideal)
-    if table is None:
-        table = build_structure_table(rs)
-    vec = _clean_vector(rs, a, v)
-    action = ad_exp_action if transcript.side == "primal" else coad_exp_action
-    sign = 1 if transcript.side == "primal" else -1
-    for delta, t in transcript.steps:
-        vec = action(table, delta, t, vec, a)
-    return _apply_torus(rs, transcript.torus, vec, sign)
+    ops = [("unipotent", d, t) for d, t in transcript.steps] + [("torus", transcript.torus)]
+    return _trajectory(rs, ideal, ops, v, transcript.side, table)[-1]
 
 
 def replay_supports(rs: RootSystem, ideal: Iterable[int], transcript: ReductionTranscript,
                     v: Mapping[int, Fraction],
                     table: Optional[StructureTable] = None) -> list:
     """Supports of every intermediate vector along a transcript replay."""
-    a = check_abelian_ideal(rs, ideal)
-    if table is None:
-        table = build_structure_table(rs)
-    vec = _clean_vector(rs, a, v)
-    action = ad_exp_action if transcript.side == "primal" else coad_exp_action
-    supports = [frozenset(vec)]
-    for delta, t in transcript.steps:
-        vec = action(table, delta, t, vec, a)
-        supports.append(frozenset(vec))
-    return supports
+    ops = [("unipotent", d, t) for d, t in transcript.steps]
+    return [frozenset(vec) for vec in _trajectory(rs, ideal, ops, v, transcript.side, table)]
 
 
 def orbit_of_vector(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
@@ -290,10 +252,7 @@ def orbit_of_vector(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fracti
     """Reduce a (co)vector and return the orbit record of its label."""
     if side not in ("primal", "dual"):
         raise ValueError("side must be 'primal' or 'dual'")
-    if side == "primal":
-        s, _ = reduce_in_ideal(rs, ideal, v)
-    else:
-        s, _ = reduce_in_dual(rs, ideal, v)
+    s, _ = _reduce(rs, ideal, v, None, side)
     return orbits.orbit_record(rs, ideal, s)
 
 
@@ -324,15 +283,4 @@ def random_b_element(rs: RootSystem, rng: random.Random, max_steps: int = 10) ->
 
 def apply_b_element(rs: RootSystem, ideal: Iterable[int], ops, v: Mapping[int, Fraction],
                     side: str = "primal", table: Optional[StructureTable] = None) -> dict:
-    a = check_abelian_ideal(rs, ideal)
-    if table is None:
-        table = build_structure_table(rs)
-    sign = 1 if side == "primal" else -1
-    action = ad_exp_action if side == "primal" else coad_exp_action
-    vec = _clean_vector(rs, a, v)
-    for op in ops:
-        if op[0] == "torus":
-            vec = _apply_torus(rs, op[1], vec, sign)
-        else:
-            vec = action(table, op[1], op[2], vec, a)
-    return vec
+    return _trajectory(rs, ideal, ops, v, side, table)[-1]

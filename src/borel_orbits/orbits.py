@@ -16,11 +16,12 @@ dual are all instances of one min/max layer-peeling scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Iterable, List, Tuple
 
 from . import weyl
 from .ideals import check_abelian_ideal, is_abelian
-from .root_system import RootSystem, max_elements, min_elements, strongly_orthogonal
+from .root_system import RootSystem, max_elements, min_elements, non_orthogonal_pair
 
 
 def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozenset]:
@@ -47,29 +48,24 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
     return out
 
 
-def shift_up(rs: RootSystem, s: Iterable[int]) -> frozenset:
-    """M_S: roots of the form gamma + delta with gamma in S, delta positive."""
+def _shift(table, s: Iterable[int], within) -> frozenset:
+    # table is rs.sum_index (up) or rs.diff_index (down); within bounds the result
     out = set()
     for g in s:
-        row = rs.sum_index[g]
-        for d in range(rs.num_positive):
-            k = row[d]
-            if k >= 0:
+        for k in table[g]:
+            if k >= 0 and (within is None or k in within):
                 out.add(k)
     return frozenset(out)
+
+
+def shift_up(rs: RootSystem, s: Iterable[int]) -> frozenset:
+    """M_S: roots of the form gamma + delta with gamma in S, delta positive."""
+    return _shift(rs.sum_index, s, None)
 
 
 def shift_down(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """M*_S: roots gamma - delta landing inside the ideal (not just in Delta+)."""
-    a = frozenset(ideal)
-    out = set()
-    for g in s:
-        row = rs.diff_index[g]
-        for d in range(rs.num_positive):
-            k = row[d]
-            if k >= 0 and k in a:
-                out.add(k)
-    return frozenset(out)
+    return _shift(rs.diff_index, s, frozenset(ideal))
 
 
 def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, int]:
@@ -79,28 +75,22 @@ def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[
             len(ss) + len(shift_down(rs, ideal, ss)))
 
 
-def lower_canonical(rs: RootSystem, ideal: Iterable[int]) -> frozenset:
-    """Iterated min-layer peeling; labels the dense orbit in the ideal."""
-    a = check_abelian_ideal(rs, ideal)
-    remaining = set(a)
-    result = set()
-    while remaining:
-        layer = min_elements(rs, remaining)
-        result |= layer
-        remaining -= layer
-        remaining -= shift_up(rs, layer)
-    return frozenset(result)
-
-
-def _peel_max(rs: RootSystem, carrier: frozenset) -> frozenset:
+def _peel(rs: RootSystem, carrier: frozenset, up: bool) -> frozenset:
+    # keep the min (up) or max layer, drop it and its shift, repeat
+    extremes = min_elements if up else max_elements
     remaining = set(carrier)
     result = set()
     while remaining:
-        layer = max_elements(rs, remaining)
+        layer = extremes(rs, remaining)
         result |= layer
         remaining -= layer
-        remaining -= shift_down(rs, carrier, layer)
+        remaining -= shift_up(rs, layer) if up else shift_down(rs, carrier, layer)
     return frozenset(result)
+
+
+def lower_canonical(rs: RootSystem, ideal: Iterable[int]) -> frozenset:
+    """Iterated min-layer peeling; labels the dense orbit in the ideal."""
+    return _peel(rs, check_abelian_ideal(rs, ideal), up=True)
 
 
 def upper_canonical(rs: RootSystem, carrier: Iterable[int]) -> frozenset:
@@ -116,30 +106,21 @@ def upper_canonical(rs: RootSystem, carrier: Iterable[int]) -> frozenset:
         raise ValueError(
             "carrier has two roots whose sum is a root; "
             "it lies in no abelian ideal and the peeled set may fail strong orthogonality")
-    return _peel_max(rs, c)
+    return _peel(rs, c, up=False)
 
 
+@cache
 def kostant_cascade(rs: RootSystem) -> frozenset:
     """Max-layer peeling of all positive roots; strongly orthogonal."""
-    cached = getattr(rs, "_cascade", None)
-    if cached is not None:
-        return cached
-    result = _peel_max(rs, frozenset(range(rs.num_positive)))
-    items = sorted(result)
-    for x in range(len(items)):
-        for y in range(x + 1, len(items)):
-            if not strongly_orthogonal(rs, items[x], items[y]):
-                raise AssertionError("cascade produced a non strongly orthogonal set")
-    rs._cascade = result
+    result = _peel(rs, frozenset(range(rs.num_positive)), up=False)
+    if non_orthogonal_pair(rs, result) is not None:
+        raise AssertionError("cascade produced a non strongly orthogonal set")
     return result
 
 
 def pyasetskii_dual(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """The dual-orbit label: upper-canonical set of J_S."""
-    a = frozenset(ideal)
-    ss = frozenset(s)
-    j = a - ss - shift_up(rs, ss)
-    return upper_canonical(rs, j)
+    return upper_canonical(rs, residual_set(rs, ideal, s))
 
 
 def residual_set(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -135,7 +135,10 @@ class RootSystem:
     """All positive roots of one simple type plus derived lookup tables.
 
     Instances are created through :func:`build_root_system`, cached per
-    type and safe to share; every attribute is fixed at construction.
+    type and safe to share.  Every attribute is set at construction and
+    none is added later; only the memo behind :meth:`inner` fills in as
+    it is used.  Tables derived elsewhere (structure constants, Weyl
+    lengths, the cascade) are cached by the functions that own them.
     """
 
     def __init__(self, typ: SimpleType):
@@ -403,6 +406,16 @@ def strongly_orthogonal(rs: RootSystem, i: int, j: int) -> bool:
     if res and rs.inner(i, j) != 0:
         raise AssertionError("strongly orthogonal roots must be orthogonal")
     return res
+
+
+def non_orthogonal_pair(rs: RootSystem, roots: Iterable[int]) -> Optional[Tuple[int, int]]:
+    """First pair of the roots, in index order, that is not strongly orthogonal; else None."""
+    items = sorted(roots)
+    for x, i in enumerate(items):
+        for j in items[x + 1:]:
+            if not strongly_orthogonal(rs, i, j):
+                return i, j
+    return None
 
 
 def dominance_leq(rs: RootSystem, i: int, j: int) -> bool:

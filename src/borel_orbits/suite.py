@@ -55,7 +55,7 @@ def abelian_count_via_antichains(rs: RootSystem) -> int:
     comparable = [0] * npos
     for i in range(npos):
         for j in range(npos):
-            if i != j and (rs.up_masks[i] >> j) & 1 or (rs.up_masks[j] >> i) & 1:
+            if i != j and ((rs.up_masks[i] >> j) & 1 or (rs.up_masks[j] >> i) & 1):
                 comparable[i] |= 1 << j
     bad = []
     for i in range(npos):

@@ -9,10 +9,11 @@ matrix action on the root table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Tuple
 
 from .intlin import matrix_rank
-from .root_system import RootSystem, strongly_orthogonal
+from .root_system import RootSystem, non_orthogonal_pair
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,13 @@ def reflection(rs: RootSystem, gamma: int) -> WeylElement:
 def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
     """Product of the commuting reflections over a strongly orthogonal set."""
     s = frozenset(orth_set)
-    items = sorted(s)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if not strongly_orthogonal(rs, items[a], items[b]):
-                raise ValueError(
-                    f"{rs.root_label(items[a])} and {rs.root_label(items[b])} "
-                    "are not strongly orthogonal")
+    bad = non_orthogonal_pair(rs, s)
+    if bad is not None:
+        raise ValueError(
+            f"{rs.root_label(bad[0])} and {rs.root_label(bad[1])} "
+            "are not strongly orthogonal")
     w = identity(rs)
-    for i in items:
+    for i in sorted(s):
         w = w * reflection(rs, i)
     sq = w * w
     if not sq.is_identity():
@@ -117,14 +116,12 @@ def _image_sign(image: tuple) -> int:
 
 def length(rs: RootSystem, w: WeylElement) -> int:
     """Number of positive roots sent to negative roots."""
-    cache = getattr(rs, "_length_cache", None)
-    if cache is None:
-        cache = {}
-        rs._length_cache = cache
-    hit = cache.get(w.matrix)
-    if hit is not None:
-        return hit
-    m = w.matrix
+    return _length(rs, w.matrix)
+
+
+@cache
+def _length(rs: RootSystem, m) -> int:
+    # keyed on the matrix, not the element, to keep the memo small
     n = rs.rank
     count = 0
     for r in rs.positive_roots:
@@ -138,7 +135,6 @@ def length(rs: RootSystem, w: WeylElement) -> int:
                 if v < 0:
                     count += 1
                 break
-    cache[w.matrix] = count
     return count
 
 
@@ -149,6 +145,7 @@ def absolute_length(rs: RootSystem, w: WeylElement) -> int:
     return matrix_rank(m)
 
 
+@cache
 def _pairing_columns(rs: RootSystem):
     # nonzero <alpha_j, alpha_i^vee> pairs, per i; used for right multiplication
     cols = []
@@ -176,17 +173,11 @@ def _column_sign(m, j) -> int:
     raise AssertionError("zero column in a Weyl matrix")
 
 
-def _descent_chain(rs: RootSystem, w: WeylElement, lw: int) -> tuple:
-    """Simple-root positions descending w to the identity, left to right."""
-    cache = getattr(rs, "_descent_chains", None)
-    if cache is None:
-        cache = {}
-        rs._descent_chains = cache
-    hit = cache.get(w.matrix)
-    if hit is not None:
-        return hit
-    pairs = _pairing_cache(rs)
-    wm = [list(row) for row in w.matrix]
+@cache
+def _descent_chain(rs: RootSystem, matrix, lw: int) -> tuple:
+    """Simple-root positions descending w (by its matrix) to the identity, left to right."""
+    pairs = _pairing_columns(rs)
+    wm = [list(row) for row in matrix]
     n = rs.rank
     chain = []
     for _ in range(lw):
@@ -195,46 +186,30 @@ def _descent_chain(rs: RootSystem, w: WeylElement, lw: int) -> tuple:
         chain.append(i)
     if any(wm[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise AssertionError("descent chain did not reach the identity")
-    chain = tuple(chain)
-    cache[w.matrix] = chain
-    return chain
-
-
-def _pairing_cache(rs: RootSystem):
-    pairs = getattr(rs, "_pairing_cols", None)
-    if pairs is None:
-        pairs = _pairing_columns(rs)
-        rs._pairing_cols = pairs
-    return pairs
+    return tuple(chain)
 
 
 def bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order comparison via the lifting-property descent on w."""
     if u == w:
         return True
-    cache = getattr(rs, "_bruhat_cache", None)
-    if cache is None:
-        cache = {}
-        rs._bruhat_cache = cache
-    key = (u.matrix, w.matrix)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _bruhat_leq(rs, u, w)
+
+
+@cache
+def _bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
     lu = length(rs, u)
     lw = length(rs, w)
     if lu >= lw:
-        res = False
-    else:
-        pairs = _pairing_cache(rs)
-        um = [list(row) for row in u.matrix]
-        n = rs.rank
-        for i in _descent_chain(rs, w, lw):
-            if _column_sign(um, i) < 0:
-                _right_multiply_simple(um, i, pairs)
-        res = all(um[i][j] == (1 if i == j else 0)
-                  for i in range(n) for j in range(n))
-    cache[key] = res
-    return res
+        return False
+    pairs = _pairing_columns(rs)
+    um = [list(row) for row in u.matrix]
+    n = rs.rank
+    for i in _descent_chain(rs, w.matrix, lw):
+        if _column_sign(um, i) < 0:
+            _right_multiply_simple(um, i, pairs)
+    return all(um[i][j] == (1 if i == j else 0)
+               for i in range(n) for j in range(n))
 
 
 def longest_element(rs: RootSystem, simple_nodes: Iterable[int]) -> WeylElement:

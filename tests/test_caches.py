@@ -1,0 +1,30 @@
+"""Derived tables are cached by the functions that own them, never on the RootSystem."""
+
+from fractions import Fraction
+
+from borel_orbits import RootSystem, SimpleType
+from borel_orbits.anr import anr_ideal, conjecture_check, w0l_action
+from borel_orbits.chevalley import build_structure_table
+from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal
+from borel_orbits.orbits import kostant_cascade, lower_canonical
+from borel_orbits.weyl import bruhat_leq, identity, sigma_of_orth_set
+
+
+def test_root_system_gains_no_attributes():
+    rs = RootSystem(SimpleType("C", 3))
+    keys = set(vars(rs))
+    node = rs.rank - 1
+    ideal = anr_ideal(rs, node)
+    cascade = kostant_cascade(rs)
+    label = lower_canonical(rs, ideal)
+    w0l_action(rs, node, label)
+    conjecture_check(rs, node)
+    assert bruhat_leq(rs, identity(rs), sigma_of_orth_set(rs, cascade).element)
+    v = {g: Fraction(g + 2) for g in ideal}
+    reduce_in_ideal(rs, ideal, v)
+    reduce_in_dual(rs, ideal, v)
+    assert set(vars(rs)) == keys
+    # one cached table per sign convention, however the arguments are spelled
+    table = build_structure_table(rs)
+    assert table is build_structure_table(rs, 1) is build_structure_table(rs, base_sign=1)
+    assert build_structure_table(rs, -1) is not table

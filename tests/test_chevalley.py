@@ -157,7 +157,7 @@ def test_coad_string_bounds():
         table = build_structure_table(rs)
         for ideal in enumerate_abelian_ideals(rs):
             for d in range(rs.num_positive):
-                chains = table.coad_chain(d)
+                chains = table.chain(d, up=False)
                 for src in ideal:
                     steps = [k for tgt, _, k in chains[src] if tgt in ideal]
                     assert all(k <= bound for k in steps), (typ, src, d)
@@ -195,3 +195,19 @@ def test_structure_table_json_and_sign_flip():
     for entry_p, entry_m in zip(plus.to_json(), minus.to_json()):
         assert entry_p["a"] == entry_m["a"]
         assert entry_p["n"] == -entry_m["n"]
+
+
+def test_ad_fails_where_coad_truncates():
+    # {e1-e3, e2-e4} is not upward closed: e1-e3 + (e3-e4) = e1-e4 is missing,
+    # and e2-e4 - (e3-e4) = e2-e3 falls below the set
+    rs = build_root_system("A3")
+    table = build_structure_table(rs)
+    roots = frozenset(rs.parse_root(x) for x in ("e1-e3", "e2-e4"))
+    v = {g: Fraction(1) for g in roots}
+    delta = rs.parse_root("e3-e4")
+    with pytest.raises(AssertionError, match="not upward closed"):
+        ad_exp_action(table, delta, Fraction(2), v, roots)
+    assert coad_exp_action(table, delta, Fraction(2), v, roots) == v
+    below = rs.parse_root("e2-e3")
+    wider = coad_exp_action(table, delta, Fraction(2), v, roots | {below})
+    assert wider[below] != 0  # the term the narrower set truncates
