@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
-from .ideals import abelian_nilradicals, is_abelian, is_ideal, maximal_abelian_ideals
+from .ideals import AbelianIdeal, abelian_nilradicals, check_abelian_ideal, maximal_abelian_ideals
 from .orbits import shift_down, strongly_orth_subsets
 from .root_system import RootSystem
 
@@ -55,7 +55,7 @@ def anr_nodes(rs: RootSystem) -> List[int]:
     return [node for node, _ in abelian_nilradicals(rs)]
 
 
-def anr_ideal(rs: RootSystem, node: int) -> frozenset:
+def anr_ideal(rs: RootSystem, node: int) -> AbelianIdeal:
     for n, ideal in abelian_nilradicals(rs):
         if n == node:
             return ideal
@@ -323,9 +323,10 @@ def maximal_ideal_report(rs: RootSystem, ideal: Iterable[int]) -> ConjectureRepo
     Violations are expected here; the input must not be an abelian
     nilradical (use conjecture_check for those).
     """
-    a = frozenset(ideal)
-    if not (is_ideal(rs, a) and is_abelian(rs, a)):
-        raise ValueError("input is not an abelian ideal")
+    try:
+        a = check_abelian_ideal(rs, ideal)
+    except ValueError:
+        raise ValueError("input is not an abelian ideal") from None
     if a not in maximal_abelian_ideals(rs):
         raise ValueError("input is not a maximal abelian ideal")
     if any(a == nr for _, nr in abelian_nilradicals(rs)):

@@ -185,7 +185,8 @@ def _structure_table(rs: RootSystem, base_sign: int) -> StructureTable:
 
 def _exp_action(table: StructureTable, delta: int, t: Fraction,
                 v: Mapping[int, Fraction], ideal: Iterable[int], up: bool) -> dict:
-    a = frozenset(ideal)
+    # frozenset() would copy a validated ideal, which is a frozenset subclass
+    a = ideal if isinstance(ideal, frozenset) else frozenset(ideal)
     out = {k: Fraction(c) for k, c in v.items() if c}
     if t == 0:
         return out

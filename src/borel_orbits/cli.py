@@ -18,10 +18,10 @@ from . import anr, normal_form, orbits, suite, weyl
 from .chevalley import build_structure_table
 from .ideals import (
     abelian_nilradicals,
+    check_abelian_ideal,
     enumerate_abelian_ideals,
     ideal_from_shape,
     ideal_generated,
-    is_abelian,
     maximal_abelian_ideals,
 )
 from .root_system import (
@@ -41,7 +41,15 @@ def _numbering(args) -> str:
 
 
 def _node_in(rs, args, node: int) -> int:
-    return node_to_bourbaki(rs, node, _numbering(args)) - 1
+    # 0-based Bourbaki position of a nilradical node; checked here, not by
+    # anr_ideal, so that the message names nodes in the chosen numbering
+    node0 = node_to_bourbaki(rs, node, _numbering(args)) - 1
+    nodes = anr.anr_nodes(rs)
+    if node0 not in nodes:
+        raise ValueError(
+            f"alpha_{node} is not an abelian-nilradical node of {rs.type}; "
+            f"valid nodes: {sorted(_node_out(rs, args, n) for n in nodes)}")
+    return node0
 
 
 def _node_out(rs, args, node0: int) -> int:
@@ -74,18 +82,6 @@ def _resolve_ideal(rs, args) -> frozenset:
         raise ValueError(
             "specify the ideal with exactly one of --ideal, --shape, "
             "--max-abelian or --anr")
-    if args.ideal is not None:
-        gens = _parse_root_list(rs, args.ideal)
-        ideal = ideal_generated(rs, gens)
-        if not is_abelian(rs, ideal):
-            raise ValueError("the generated ideal is not abelian")
-        return ideal
-    if args.shape is not None:
-        rows = [int(x) for x in args.shape.split(",") if x.strip()]
-        ideal = ideal_from_shape(rs, rows)
-        if not is_abelian(rs, ideal):
-            raise ValueError(f"the shape {rows} ideal is not abelian")
-        return ideal
     if args.max_abelian is not None:
         mx = maximal_abelian_ideals(rs)
         if not 0 <= args.max_abelian < len(mx):
@@ -93,8 +89,20 @@ def _resolve_ideal(rs, args) -> frozenset:
                 f"{rs.type} has {len(mx)} maximal abelian ideals, "
                 f"index {args.max_abelian} is out of range")
         return mx[args.max_abelian]
-    node = _node_in(rs, args, args.anr)
-    return anr.anr_ideal(rs, node)
+    if args.anr is not None:
+        return anr.anr_ideal(rs, _node_in(rs, args, args.anr))
+    if args.ideal is not None:
+        ideal = ideal_generated(rs, _parse_root_list(rs, args.ideal))
+        what = "the generated ideal"
+    else:
+        rows = [int(x) for x in args.shape.split(",") if x.strip()]
+        ideal = ideal_from_shape(rs, rows)
+        what = f"the shape {rows} ideal"
+    try:
+        return check_abelian_ideal(rs, ideal)
+    except ValueError:
+        # both constructions are upward closed, so only abelianness can fail
+        raise ValueError(f"{what} is not abelian") from None
 
 
 def _ideal_spec_options(p):
@@ -274,7 +282,8 @@ def _cmd_count_anr(args) -> int:
             raise ValueError(f"{rs.type} has no abelian nilradicals")
     tables = [anr.anr_statistic(rs, node) for node in nodes]
     if args.json:
-        print(json.dumps([t.to_json() for t in tables], indent=2, sort_keys=True))
+        rows = [dict(t.to_json(), node=_node_out(rs, args, t.node)) for t in tables]
+        print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
     if args.csv:
         print("type,node,k,count")
@@ -288,8 +297,8 @@ def _cmd_count_anr(args) -> int:
     return 0
 
 
-def _report_human(rs, rep) -> None:
-    where = f"node alpha_{rep.node + 1}" if rep.node is not None else "maximal ideal"
+def _report_human(rs, args, rep) -> None:
+    where = "maximal ideal" if rep.node is None else f"node alpha_{_node_out(rs, args, rep.node)}"
     print(f"{rep.type} {where}: {len(rep.rows)} orbits "
           f"[evidence only, not a proof]")
     print(f"  formula violations:      {len(rep.formula_violations)}")
@@ -314,9 +323,12 @@ def _cmd_conjecture_check(args) -> int:
         gens = _parse_root_list(rs, args.ideal)
         rep = anr.maximal_ideal_report(rs, ideal_generated(rs, gens))
     if args.json:
-        print(json.dumps(rep.to_json(rs), indent=2, sort_keys=True))
+        data = rep.to_json(rs)
+        if rep.node is not None:
+            data["node"] = _node_out(rs, args, rep.node)
+        print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        _report_human(rs, rep)
+        _report_human(rs, args, rep)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Combinatorial ad-nilpotent and abelian ideals of the positive roots.
 
 An ideal is an upward-closed subset of the positive roots; it is
-abelian when no two of its members sum to a root.  Ideals are plain
-frozensets of root indices, canonically ordered by (size, sorted
-indices) wherever lists of them are produced.
+abelian when no two of its members sum to a root.  Abelian ideals are
+:class:`AbelianIdeal` frozensets of root indices, validated once against
+their root system, and canonically ordered by (size, sorted indices)
+wherever lists of them are produced.
 """
 
 from __future__ import annotations
@@ -56,16 +57,30 @@ def ideal_generated(rs: RootSystem, generators: Iterable[int]) -> frozenset:
     return _set_of(mask)
 
 
-def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> frozenset:
-    s = frozenset(roots)
+class AbelianIdeal(frozenset):
+    """Root indices that check_abelian_ideal found to be an abelian ideal of ``rs``.
+
+    Only check_abelian_ideal builds one; set operations return plain frozensets.
+    """
+
+    __slots__ = ("rs",)
+
+
+def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
+    """The roots as an AbelianIdeal of rs, validated unless they already are one."""
+    # one without rs (unpickled, or built by hand) is validated again
+    if isinstance(roots, AbelianIdeal) and getattr(roots, "rs", None) is rs:
+        return roots
+    s = AbelianIdeal(roots)
     if not is_ideal(rs, s):
         raise ValueError("root set is not upward closed")
     if not is_abelian(rs, s):
         raise ValueError("ideal is not abelian")
+    s.rs = rs
     return s
 
 
-def enumerate_abelian_ideals(rs: RootSystem) -> List[frozenset]:
+def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
     """All abelian ideals, ordered by (size, root-index sequence).
 
     Depth-first over roots in decreasing height: a root may join only
@@ -102,12 +117,12 @@ def enumerate_abelian_ideals(rs: RootSystem) -> List[frozenset]:
             rec(pos + 1, cur | (1 << i))
 
     rec(0, 0)
-    ideals = [_set_of(m) for m in set(found)]
+    ideals = [check_abelian_ideal(rs, _set_of(m)) for m in set(found)]
     ideals.sort(key=lambda s: (len(s), sorted(s)))
     return ideals
 
 
-def maximal_abelian_ideals(rs: RootSystem) -> List[frozenset]:
+def maximal_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
     """Abelian ideals not properly contained in another abelian ideal."""
     all_ideals = enumerate_abelian_ideals(rs)
     out = [a for a in all_ideals
@@ -116,7 +131,7 @@ def maximal_abelian_ideals(rs: RootSystem) -> List[frozenset]:
     return out
 
 
-def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, frozenset]]:
+def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, AbelianIdeal]]:
     """(node, ideal) for each simple root with coefficient 1 in theta.
 
     Nodes are 0-based positions; the ideal is the nilradical of the
@@ -130,7 +145,7 @@ def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, frozenset]]:
         ideal = frozenset(i for i, r in enumerate(rs.positive_roots) if r[node] == 1)
         if any(r[node] > 1 for r in rs.positive_roots):
             raise AssertionError("coefficient above 1 at a supposedly minuscule node")
-        out.append((node, ideal))
+        out.append((node, check_abelian_ideal(rs, ideal)))
     return out
 
 

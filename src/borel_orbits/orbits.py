@@ -65,7 +65,9 @@ def shift_up(rs: RootSystem, s: Iterable[int]) -> frozenset:
 
 def shift_down(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """M*_S: roots gamma - delta landing inside the ideal (not just in Delta+)."""
-    return _shift(rs.diff_index, s, frozenset(ideal))
+    # frozenset() would copy a validated ideal, which is a frozenset subclass
+    within = ideal if isinstance(ideal, frozenset) else frozenset(ideal)
+    return _shift(rs.diff_index, s, within)
 
 
 def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, int]:
@@ -120,19 +122,21 @@ def kostant_cascade(rs: RootSystem) -> frozenset:
 
 def pyasetskii_dual(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """The dual-orbit label: upper-canonical set of J_S."""
-    return upper_canonical(rs, residual_set(rs, ideal, s))
+    # J_S lies inside the abelian ideal that residual_set validates
+    return _peel(rs, residual_set(rs, ideal, s), up=False)
 
 
 def residual_set(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """J_S = ideal minus (S and M_S)."""
-    a = frozenset(ideal)
+    a = check_abelian_ideal(rs, ideal)
     ss = frozenset(s)
     return a - ss - shift_up(rs, ss)
 
 
 def pyasetskii_map(rs: RootSystem, ideal: Iterable[int]) -> Dict[frozenset, frozenset]:
     """The full duality table S -> S_dual over all of the ideal's subsets."""
-    return {s: pyasetskii_dual(rs, ideal, s) for s in strongly_orth_subsets(rs, ideal)}
+    a = check_abelian_ideal(rs, ideal)
+    return {s: pyasetskii_dual(rs, a, s) for s in strongly_orth_subsets(rs, a)}
 
 
 def pyasetskii_report(rs: RootSystem, ideal: Iterable[int]) -> dict:
@@ -158,7 +162,7 @@ def krull_dims(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, int]:
     These also count the codimension-1 orbits in the ideal and its dual.
     """
     a = check_abelian_ideal(rs, ideal)
-    return len(lower_canonical(rs, a)), len(upper_canonical(rs, a))
+    return len(lower_canonical(rs, a)), len(_peel(rs, a, up=False))
 
 
 def borel_index(rs: RootSystem) -> int:
@@ -223,7 +227,7 @@ def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Orbi
     m_up = shift_up(rs, ss)
     m_down = shift_down(rs, a, ss)
     j = a - ss - m_up
-    dual = upper_canonical(rs, j)
+    dual = _peel(rs, j, up=False)
     sigma = weyl.sigma_of_orth_set(rs, ss)
     abs_len = weyl.absolute_length(rs, sigma.element)
     if abs_len != len(ss):

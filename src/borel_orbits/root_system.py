@@ -138,7 +138,8 @@ class RootSystem:
     type and safe to share.  Every attribute is set at construction and
     none is added later; only the memo behind :meth:`inner` fills in as
     it is used.  Tables derived elsewhere (structure constants, Weyl
-    lengths, the cascade) are cached by the functions that own them.
+    descent chains, the cascade) are cached by the functions that own
+    them; Weyl lengths are recomputed on each call, not cached.
     """
 
     def __init__(self, typ: SimpleType):

@@ -73,19 +73,9 @@ def reflect(rs: RootSystem, gamma: int, mu: int) -> tuple:
 
 def reflection(rs: RootSystem, gamma: int) -> WeylElement:
     """The reflection in a positive root, as a matrix."""
-    g = rs.positive_roots[gamma]
-    norm = rs.inner(gamma, gamma)
-    n = rs.rank
-    cols = []
-    for j in range(n):
-        # <alpha_j, gamma^vee> from the stored form
-        val = 2 * sum(g[i] * rs.form[i][j] for i in range(n) if g[i]) / norm
-        if val.denominator != 1:
-            raise AssertionError("reflection pairing must be integral")
-        c = int(val)
-        col = [(1 if i == j else 0) - c * g[i] for i in range(n)]
-        cols.append(col)
-    return WeylElement(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    # column j is the reflected alpha_j; zip(*cols) turns columns into rows
+    cols = [reflect(rs, gamma, k) for k in rs.simple_indices]
+    return WeylElement(tuple(zip(*cols)))
 
 
 def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
@@ -105,23 +95,9 @@ def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
     return Involution(element=w, orth_set=s)
 
 
-def _image_sign(image: tuple) -> int:
-    for x in image:
-        if x > 0:
-            return 1
-        if x < 0:
-            return -1
-    raise AssertionError("zero image of a root under a Weyl element")
-
-
 def length(rs: RootSystem, w: WeylElement) -> int:
     """Number of positive roots sent to negative roots."""
-    return _length(rs, w.matrix)
-
-
-@cache
-def _length(rs: RootSystem, m) -> int:
-    # keyed on the matrix, not the element, to keep the memo small
+    m = w.matrix
     n = rs.rank
     count = 0
     for r in rs.positive_roots:
@@ -174,13 +150,13 @@ def _column_sign(m, j) -> int:
 
 
 @cache
-def _descent_chain(rs: RootSystem, matrix, lw: int) -> tuple:
-    """Simple-root positions descending w (by its matrix) to the identity, left to right."""
+def _descent_chain(rs: RootSystem, w: WeylElement) -> tuple:
+    """Simple-root positions descending w to the identity, left to right."""
     pairs = _pairing_columns(rs)
-    wm = [list(row) for row in matrix]
+    wm = [list(row) for row in w.matrix]
     n = rs.rank
     chain = []
-    for _ in range(lw):
+    for _ in range(length(rs, w)):
         i = next(j for j in range(n) if _column_sign(wm, j) < 0)
         _right_multiply_simple(wm, i, pairs)
         chain.append(i)
@@ -190,22 +166,16 @@ def _descent_chain(rs: RootSystem, matrix, lw: int) -> tuple:
 
 
 def bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order comparison via the lifting-property descent on w."""
-    if u == w:
-        return True
-    return _bruhat_leq(rs, u, w)
+    """Bruhat order by the lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7).
 
-
-@cache
-def _bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
-    lu = length(rs, u)
-    lw = length(rs, w)
-    if lu >= lw:
-        return False
+    Along w's descent chain, u drops each simple reflection that is also
+    a right descent of u; u <= w iff u reaches the identity.  This decides
+    every pair, so there is no length pre-check and no memo of pairs.
+    """
     pairs = _pairing_columns(rs)
     um = [list(row) for row in u.matrix]
     n = rs.rank
-    for i in _descent_chain(rs, w.matrix, lw):
+    for i in _descent_chain(rs, w):
         if _column_sign(um, i) < 0:
             _right_multiply_simple(um, i, pairs)
     return all(um[i][j] == (1 if i == j else 0)
@@ -224,10 +194,10 @@ def longest_element(rs: RootSystem, simple_nodes: Iterable[int]) -> WeylElement:
             raise ValueError(f"simple-root position {i} out of range")
     gens = {i: reflection(rs, rs.simple_indices[i]) for i in nodes}
     w = identity(rs)
-    alpha = {i: rs.positive_roots[rs.simple_indices[i]] for i in nodes}
     while True:
         for i in nodes:
-            if _image_sign(w.act(alpha[i])) > 0:
+            # column i of w is the image of alpha_i
+            if _column_sign(w.matrix, i) > 0:
                 w = w * gens[i]
                 break
         else:

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from borel_orbits.cli import main
+from borel_orbits import build_root_system
+from borel_orbits.cli import _resolve_ideal, build_parser, main
+from borel_orbits.ideals import check_abelian_ideal
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -184,6 +186,39 @@ def test_numbering_flag(capsys):
     assert code == 0
     assert [line.split(":")[0] for line in out.strip().splitlines()] == \
         ["E6 alpha_1", "E6 alpha_5"]
+
+
+def test_numbering_reaches_every_node_output(capsys):
+    code, out, _ = run_cli(capsys, "count-anr", "E7", "--numbering", "vinberg", "--json")
+    assert code == 0 and [t["node"] for t in json.loads(out)] == [1]
+    code, out, _ = run_cli(capsys, "count-anr", "E7", "--json")
+    assert code == 0 and [t["node"] for t in json.loads(out)] == [7]
+    # E6: Bourbaki alpha_6 is Vinberg-Onishchik alpha_5
+    code, out, _ = run_cli(capsys, "conjecture-check", "E6", "--node", "5",
+                           "--numbering", "vinberg")
+    assert code == 0 and out.startswith("E6 node alpha_5:")
+    code, out, _ = run_cli(capsys, "conjecture-check", "E6", "--node", "5",
+                           "--numbering", "vinberg", "--json")
+    assert code == 0 and json.loads(out)["node"] == 5
+    code, _, err = run_cli(capsys, "count-anr", "E7", "--node", "2", "--numbering", "vinberg")
+    assert code == 1
+    assert "alpha_2 is not an abelian-nilradical node of E7; valid nodes: [1]" in err
+    code, _, err = run_cli(capsys, "count-anr", "E7", "--node", "2")
+    assert code == 1
+    assert "alpha_2 is not an abelian-nilradical node of E7; valid nodes: [7]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "C4", "--anr", "4"],
+    ["orbits", "A5", "--shape", "3,3,1"],
+    ["orbits", "A5", "--ideal", "e2-e4,e3-e6"],
+    ["orbits", "D4", "--max-abelian", "1"],
+])
+def test_resolved_ideal_is_validated_once(argv):
+    args = build_parser().parse_args(argv)
+    rs = build_root_system(args.type)
+    ideal = _resolve_ideal(rs, args)
+    assert check_abelian_ideal(rs, ideal) is ideal
 
 
 def test_numbering_env_default(capsys, monkeypatch):

@@ -1,14 +1,28 @@
+from fractions import Fraction
+
 import pytest
 
-from borel_orbits import build_root_system, min_elements
+from borel_orbits import RootSystem, SimpleType, build_root_system, min_elements
+from borel_orbits import ideals as ideals_module, orbits as orbits_module
+from borel_orbits.anr import anr_ideal
 from borel_orbits.ideals import (
     abelian_nilradicals,
+    check_abelian_ideal,
     enumerate_abelian_ideals,
     ideal_from_shape,
     ideal_generated,
     is_abelian,
     is_ideal,
     maximal_abelian_ideals,
+)
+from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal, replay
+from borel_orbits.orbits import (
+    krull_dims,
+    lower_canonical,
+    orbit_record,
+    pyasetskii_dual,
+    residual_set,
+    strongly_orth_subsets,
 )
 
 
@@ -142,3 +156,69 @@ def test_enumeration_order_deterministic():
     ideals = enumerate_abelian_ideals(rs)
     keyed = [(len(a), sorted(a)) for a in ideals]
     assert keyed == sorted(keyed)
+
+
+def _count_validations(monkeypatch):
+    """Record every is_ideal/is_abelian call made through the package."""
+    calls = []
+    for name in ("is_ideal", "is_abelian"):
+        real = getattr(ideals_module, name)
+
+        def counted(rs, roots, _real=real, _name=name):
+            calls.append(_name)
+            return _real(rs, roots)
+
+        monkeypatch.setattr(ideals_module, name, counted)
+        if hasattr(orbits_module, name):
+            monkeypatch.setattr(orbits_module, name, counted)
+    return calls
+
+
+def test_validated_ideal_is_not_checked_again(monkeypatch):
+    rs = build_root_system("C4")
+    a = anr_ideal(rs, 3)
+    calls = _count_validations(monkeypatch)
+    subsets = strongly_orth_subsets(rs, a)
+    for s in subsets:
+        orbit_record(rs, a, s)
+    s = subsets[len(subsets) // 2]
+    pyasetskii_dual(rs, a, s)
+    residual_set(rs, a, s)
+    lower_canonical(rs, a)
+    krull_dims(rs, a)
+    v = {g: Fraction(g + 2) for g in a}
+    for reduce in (reduce_in_ideal, reduce_in_dual):
+        _, transcript = reduce(rs, a, v)
+        replay(rs, a, transcript, v)
+    assert calls == []
+    # every constructor hands out ideals that are already validated
+    for ideal in (enumerate_abelian_ideals(rs) + maximal_abelian_ideals(rs)
+                  + [x for _, x in abelian_nilradicals(rs)]):
+        calls.clear()
+        assert check_abelian_ideal(rs, ideal) is ideal and calls == []
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("simple", "root set is not upward closed"),
+    ("all", "ideal is not abelian"),
+])
+def test_raw_input_is_still_checked(bad, message):
+    rs = build_root_system("C4")
+    roots = [rs.simple_indices[0]] if bad == "simple" else range(rs.num_positive)
+    with pytest.raises(ValueError, match=message):
+        strongly_orth_subsets(rs, roots)
+    with pytest.raises(ValueError, match=message):
+        orbit_record(rs, roots, ())
+    with pytest.raises(ValueError, match=message):
+        reduce_in_ideal(rs, roots, {})
+
+
+def test_ideal_of_another_root_system_is_checked_again(monkeypatch):
+    rs = build_root_system("C4")
+    a = anr_ideal(rs, 3)
+    other = RootSystem(SimpleType("C", 4))
+    calls = _count_validations(monkeypatch)
+    b = check_abelian_ideal(other, a)
+    assert calls and b == a and b.rs is other
+    calls.clear()
+    assert check_abelian_ideal(rs, a) is a and calls == []
