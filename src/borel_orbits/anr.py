@@ -243,11 +243,11 @@ def _build_report(rs: RootSystem, ideal: frozenset, node: Optional[int]) -> Conj
             report.formula_violations.append(tuple(sorted(s)))
 
     # order the distinct involutions under Bruhat
-    by_matrix: Dict[tuple, list] = {}
+    by_element: Dict[weyl.WeylElement, list] = {}
     for s in subsets:
-        by_matrix.setdefault(sigmas[s].matrix, []).append(s)
+        by_element.setdefault(sigmas[s], []).append(s)
     reps = []
-    for matrix, labels in by_matrix.items():
+    for labels in by_element.values():
         labels.sort(key=sorted)
         reps.append(labels[0])
         for other in labels[1:]:
@@ -264,8 +264,8 @@ def _build_report(rs: RootSystem, ideal: frozenset, node: Optional[int]) -> Conj
                 leq[i][j] = weyl.bruhat_leq(rs, sigmas[reps[i]], sigmas[reps[j]])
 
     # dimension monotonicity along strict Bruhat relations
-    rep_index = {sigmas[s].matrix: k for k, s in enumerate(reps)}
-    rep_of = [rep_index[sigmas[s].matrix] for s in subsets]
+    rep_index = {sigmas[s]: k for k, s in enumerate(reps)}
+    rep_of = [rep_index[sigmas[s]] for s in subsets]
     dim_of = [dims[s] for s in subsets]
     for x, s1 in enumerate(subsets):
         i = rep_of[x]

@@ -66,10 +66,15 @@ class AbelianIdeal(frozenset):
     __slots__ = ("rs",)
 
 
+def is_validated(rs: RootSystem, roots: Iterable[int]) -> bool:
+    """True iff the roots are an AbelianIdeal that check_abelian_ideal built for rs."""
+    # one without rs (unpickled, or built by hand) is validated again
+    return isinstance(roots, AbelianIdeal) and getattr(roots, "rs", None) is rs
+
+
 def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
     """The roots as an AbelianIdeal of rs, validated unless they already are one."""
-    # one without rs (unpickled, or built by hand) is validated again
-    if isinstance(roots, AbelianIdeal) and getattr(roots, "rs", None) is rs:
+    if is_validated(rs, roots):
         return roots
     s = AbelianIdeal(roots)
     if not is_ideal(rs, s):

@@ -20,7 +20,7 @@ from functools import cache
 from typing import Dict, Iterable, List, Tuple
 
 from . import weyl
-from .ideals import check_abelian_ideal, is_abelian
+from .ideals import check_abelian_ideal, is_abelian, is_validated
 from .root_system import RootSystem, max_elements, min_elements, non_orthogonal_pair
 
 
@@ -101,8 +101,11 @@ def upper_canonical(rs: RootSystem, carrier: Iterable[int]) -> frozenset:
     The carrier must be contained in some abelian ideal's root set, i.e.
     no two of its members may sum to a root; that is what guarantees the
     result is strongly orthogonal.  For the peeling applied to all of
-    Delta+ use :func:`kostant_cascade`.
+    Delta+ use :func:`kostant_cascade`.  An abelian ideal validated for
+    rs is not checked again.
     """
+    if is_validated(rs, carrier):
+        return _peel(rs, carrier, up=False)
     c = frozenset(carrier)
     if not is_abelian(rs, c):
         raise ValueError(

@@ -137,9 +137,10 @@ class RootSystem:
     Instances are created through :func:`build_root_system`, cached per
     type and safe to share.  Every attribute is set at construction and
     none is added later; only the memo behind :meth:`inner` fills in as
-    it is used.  Tables derived elsewhere (structure constants, Weyl
-    descent chains, the cascade) are cached by the functions that own
-    them; Weyl lengths are recomputed on each call, not cached.
+    it is used.  Tables derived elsewhere (structure constants, the Weyl
+    reflection table, Weyl descent chains, the cascade) are cached by the
+    functions that own them; Weyl lengths are recomputed on each call,
+    not cached.
     """
 
     def __init__(self, typ: SimpleType):
@@ -425,15 +426,21 @@ def dominance_leq(rs: RootSystem, i: int, j: int) -> bool:
 
 
 def min_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
+    """The roots with no other of the roots below them in dominance order."""
     s = set(roots)
-    return frozenset(i for i in s
-                     if not any(j != i and dominance_leq(rs, j, i) for j in s))
+    above = 0  # roots strictly above some member of s
+    for j in s:
+        above |= rs.up_masks[j] ^ (1 << j)
+    return frozenset(i for i in s if not above >> i & 1)
 
 
 def max_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
+    """The roots with no other of the roots above them in dominance order."""
     s = set(roots)
-    return frozenset(i for i in s
-                     if not any(j != i and dominance_leq(rs, i, j) for j in s))
+    mask = 0
+    for j in s:
+        mask |= 1 << j
+    return frozenset(i for i in s if rs.up_masks[i] & mask == 1 << i)
 
 
 # Bourbaki node index for each Vinberg-Onishchik node index, E types only.

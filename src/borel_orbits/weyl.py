@@ -1,42 +1,65 @@
-"""Weyl group elements as integer matrices on simple-root coordinates.
+"""Weyl group elements as permutations of the roots.
 
-Elements are never enumerated group-wide; everything needed here
-(lengths, Bruhat comparisons, longest elements of Levi subgroups,
-involutions attached to strongly orthogonal sets) is computed from the
-matrix action on the root table.
+This is the table-driven method of Casselman, "Machine calculations in
+Weyl groups", Invent. Math. 116 (1994).  A root is a signed index: with
+N positive roots, k < N stands for ``rs.positive_roots[k]`` and N + k for
+its negative.  One table per root system, built on first use, gives the
+reflection in every root as a permutation of the 2N signed indices.  An
+element is carried as the signed indices of its images of the simple
+roots, so the involutions attached to strongly orthogonal sets, lengths,
+descent chains and Bruhat comparisons are table lookups.  The integer
+matrix on simple-root coordinates is derived only when asked for.
+
+Elements are never enumerated group-wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Tuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Tuple
 
 from .intlin import matrix_rank
 from .root_system import RootSystem, non_orthogonal_pair
 
 
+def _negate(k: int, npos: int) -> int:
+    return k + npos if k < npos else k - npos
+
+
+def _permute(row: tuple, images: tuple) -> tuple:
+    """row[k] for each k in images: the images under the reflection of the row."""
+    # itemgetter of a single index returns the item, not a 1-tuple
+    return itemgetter(*images)(row) if len(images) > 1 else (row[images[0]],)
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    """Action on simple-root coordinates; column j is the image of alpha_j."""
+    """w as the signed root indices of w(alpha_1), ..., w(alpha_n)."""
 
-    matrix: Tuple[Tuple[int, ...], ...]
+    rs: RootSystem
+    images: Tuple[int, ...]
+
+    @property
+    def matrix(self) -> Tuple[Tuple[int, ...], ...]:
+        """Action on simple-root coordinates; column j is the image of alpha_j."""
+        coeffs = _reflection_table(self.rs).coeffs
+        return tuple(zip(*(coeffs[k] for k in self.images)))
 
     def act(self, coeffs) -> tuple:
         return tuple(sum(row[j] * coeffs[j] for j in range(len(coeffs)) if coeffs[j])
                      for row in self.matrix)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        return WeylElement(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)))
+        npos = self.rs.num_positive
+        perm = _positive_images(self.rs, self.images)
+        return WeylElement(self.rs, tuple(
+            perm[k] if k < npos else _negate(perm[k - npos], npos)
+            for k in other.images))
 
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
+        return self.images == self.rs.simple_indices
 
 
 @dataclass(frozen=True)
@@ -55,9 +78,7 @@ class Involution:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    n = rs.rank
-    return WeylElement(tuple(tuple(1 if i == j else 0 for j in range(n))
-                             for i in range(n)))
+    return WeylElement(rs, rs.simple_indices)
 
 
 def reflect(rs: RootSystem, gamma: int, mu: int) -> tuple:
@@ -71,11 +92,56 @@ def reflect(rs: RootSystem, gamma: int, mu: int) -> tuple:
     return tuple(a - c * b for a, b in zip(m, g))
 
 
+class _Table(NamedTuple):
+    # rows[k][m]: signed index of s_k(root m), for all 2N signed k (s_{-g} = s_g)
+    rows: tuple
+    # (beta, i, prev) per non-simple positive beta, in height order:
+    # beta = s_i(prev) with prev positive and lower, i a simple-root position
+    steps: tuple
+    # coeffs[k]: simple-root coordinates of the root with signed index k
+    coeffs: tuple
+
+
+@cache
+def _reflection_table(rs: RootSystem) -> _Table:
+    npos = rs.num_positive
+    coeffs = rs.positive_roots + tuple(tuple(-c for c in r) for r in rs.positive_roots)
+    signed = {v: k for k, v in enumerate(coeffs)}
+    rows = [None] * npos
+    for a in rs.simple_indices:
+        row = [signed[reflect(rs, a, m)] for m in range(npos)]
+        rows[a] = tuple(row + [_negate(k, npos) for k in row])
+    steps = []
+    # roots are indexed by height, so prev's row is known before beta's
+    for beta in range(npos):
+        if rows[beta] is not None:
+            continue
+        i, prev = next((i, rows[a][beta]) for i, a in enumerate(rs.simple_indices)
+                       if rows[a][beta] < npos
+                       and rs.heights[rows[a][beta]] < rs.heights[beta])
+        si, sp = rows[rs.simple_indices[i]], rows[prev]
+        # s_beta = s_i s_prev s_i
+        rows[beta] = tuple(si[sp[si[m]]] for m in range(2 * npos))
+        steps.append((beta, i, prev))
+    return _Table(tuple(rows + rows), tuple(steps), coeffs)
+
+
+def _positive_images(rs: RootSystem, images) -> list:
+    """Signed indices of w(beta) for every positive root beta, by index."""
+    table = _reflection_table(rs)
+    rows = table.rows
+    out = [0] * rs.num_positive
+    for j, k in zip(rs.simple_indices, images):
+        out[j] = k
+    # w(s_i(prev)) = s_{w(alpha_i)}(w(prev))
+    for beta, i, prev in table.steps:
+        out[beta] = rows[images[i]][out[prev]]
+    return out
+
+
 def reflection(rs: RootSystem, gamma: int) -> WeylElement:
-    """The reflection in a positive root, as a matrix."""
-    # column j is the reflected alpha_j; zip(*cols) turns columns into rows
-    cols = [reflect(rs, gamma, k) for k in rs.simple_indices]
-    return WeylElement(tuple(zip(*cols)))
+    """The reflection in a positive root."""
+    return WeylElement(rs, _permute(_reflection_table(rs).rows[gamma], rs.simple_indices))
 
 
 def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
@@ -86,81 +152,48 @@ def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
         raise ValueError(
             f"{rs.root_label(bad[0])} and {rs.root_label(bad[1])} "
             "are not strongly orthogonal")
-    w = identity(rs)
-    for i in sorted(s):
-        w = w * reflection(rs, i)
-    sq = w * w
-    if not sq.is_identity():
+    rows = _reflection_table(rs).rows
+    # s_{g1} ... s_{gk} in index order acts on a root from the right
+    factors = [rows[g] for g in sorted(s, reverse=True)]
+
+    def apply(k):
+        for row in factors:
+            k = row[k]
+        return k
+
+    images = tuple(apply(k) for k in rs.simple_indices)
+    if tuple(apply(k) for k in images) != rs.simple_indices:
         raise AssertionError("product of commuting reflections must be an involution")
-    return Involution(element=w, orth_set=s)
+    return Involution(element=WeylElement(rs, images), orth_set=s)
 
 
 def length(rs: RootSystem, w: WeylElement) -> int:
     """Number of positive roots sent to negative roots."""
-    m = w.matrix
-    n = rs.rank
-    count = 0
-    for r in rs.positive_roots:
-        for i in range(n):
-            v = 0
-            row = m[i]
-            for j in range(n):
-                if r[j]:
-                    v += row[j] * r[j]
-            if v:
-                if v < 0:
-                    count += 1
-                break
-    return count
+    npos = rs.num_positive
+    return sum(k >= npos for k in _positive_images(rs, w.images))
 
 
 def absolute_length(rs: RootSystem, w: WeylElement) -> int:
     """Rank of (identity - w) on the coordinate space."""
     n = rs.rank
-    m = [[(1 if i == j else 0) - w.matrix[i][j] for j in range(n)] for i in range(n)]
+    wm = w.matrix
+    m = [[(1 if i == j else 0) - wm[i][j] for j in range(n)] for i in range(n)]
     return matrix_rank(m)
-
-
-@cache
-def _pairing_columns(rs: RootSystem):
-    # nonzero <alpha_j, alpha_i^vee> pairs, per i; used for right multiplication
-    cols = []
-    for i in range(rs.rank):
-        cols.append(tuple((j, rs.cartan[i][j]) for j in range(rs.rank)
-                          if rs.cartan[i][j]))
-    return cols
-
-
-def _right_multiply_simple(m, i, pairs):
-    # m -> m * s_i in place; column ops only touch Dynkin neighbours of i
-    coli = [row[i] for row in m]
-    for j, c in pairs[i]:
-        for r, cr in enumerate(coli):
-            if cr:
-                m[r][j] -= c * cr
-
-
-def _column_sign(m, j) -> int:
-    for row in m:
-        if row[j] > 0:
-            return 1
-        if row[j] < 0:
-            return -1
-    raise AssertionError("zero column in a Weyl matrix")
 
 
 @cache
 def _descent_chain(rs: RootSystem, w: WeylElement) -> tuple:
     """Simple-root positions descending w to the identity, left to right."""
-    pairs = _pairing_columns(rs)
-    wm = [list(row) for row in w.matrix]
-    n = rs.rank
+    rows = _reflection_table(rs).rows
+    npos = rs.num_positive
+    images = w.images
     chain = []
     for _ in range(length(rs, w)):
-        i = next(j for j in range(n) if _column_sign(wm, j) < 0)
-        _right_multiply_simple(wm, i, pairs)
+        i = next(j for j, k in enumerate(images) if k >= npos)
+        # w s_i (alpha_j) = s_{w(alpha_i)}(w(alpha_j))
+        images = _permute(rows[images[i]], images)
         chain.append(i)
-    if any(wm[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
+    if images != rs.simple_indices:
         raise AssertionError("descent chain did not reach the identity")
     return tuple(chain)
 
@@ -172,14 +205,14 @@ def bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
     a right descent of u; u <= w iff u reaches the identity.  This decides
     every pair, so there is no length pre-check and no memo of pairs.
     """
-    pairs = _pairing_columns(rs)
-    um = [list(row) for row in u.matrix]
-    n = rs.rank
+    rows = _reflection_table(rs).rows
+    npos = rs.num_positive
+    images = u.images
     for i in _descent_chain(rs, w):
-        if _column_sign(um, i) < 0:
-            _right_multiply_simple(um, i, pairs)
-    return all(um[i][j] == (1 if i == j else 0)
-               for i in range(n) for j in range(n))
+        k = images[i]
+        if k >= npos:
+            images = _permute(rows[k], images)
+    return images == rs.simple_indices
 
 
 def longest_element(rs: RootSystem, simple_nodes: Iterable[int]) -> WeylElement:
@@ -192,13 +225,12 @@ def longest_element(rs: RootSystem, simple_nodes: Iterable[int]) -> WeylElement:
     for i in nodes:
         if not 0 <= i < rs.rank:
             raise ValueError(f"simple-root position {i} out of range")
-    gens = {i: reflection(rs, rs.simple_indices[i]) for i in nodes}
-    w = identity(rs)
+    rows = _reflection_table(rs).rows
+    images = rs.simple_indices
     while True:
         for i in nodes:
-            # column i of w is the image of alpha_i
-            if _column_sign(w.matrix, i) > 0:
-                w = w * gens[i]
+            if images[i] < rs.num_positive:
+                images = _permute(rows[images[i]], images)
                 break
         else:
-            return w
+            return WeylElement(rs, images)

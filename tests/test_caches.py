@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from borel_orbits import RootSystem, SimpleType
+from borel_orbits import RootSystem, SimpleType, weyl
 from borel_orbits.anr import anr_ideal, conjecture_check, w0l_action
 from borel_orbits.chevalley import build_structure_table
 from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal
-from borel_orbits.orbits import kostant_cascade, lower_canonical
+from borel_orbits.orbits import kostant_cascade, lower_canonical, orbit_record, strongly_orth_subsets
 from borel_orbits.weyl import bruhat_leq, identity, sigma_of_orth_set
 
 
@@ -28,3 +28,22 @@ def test_root_system_gains_no_attributes():
     table = build_structure_table(rs)
     assert table is build_structure_table(rs, 1) is build_structure_table(rs, base_sign=1)
     assert build_structure_table(rs, -1) is not table
+
+
+def test_orbit_table_keeps_no_weyl_memo_per_element():
+    # a memo per sigma_S costs about 11 MB of peak memory on orbits C8 --anr 8
+    memos = {name: f for name, f in vars(weyl).items() if hasattr(f, "cache_info")}
+    rs = RootSystem(SimpleType("C", 5))
+    ideal = anr_ideal(rs, 4)
+    before = {name: f.cache_info() for name, f in memos.items()}
+    labels = strongly_orth_subsets(rs, ideal)
+    for s in labels:
+        orbit_record(rs, ideal, s)
+    after = {name: f.cache_info() for name, f in memos.items()}
+    assert len(labels) == 142
+    assert after["_descent_chain"].currsize == before["_descent_chain"].currsize
+    # the reflection table is built once for the new root system
+    table = after["_reflection_table"]
+    assert table.currsize == before["_reflection_table"].currsize + 1
+    assert table.misses == before["_reflection_table"].misses + 1
+    assert all(after[name].currsize <= before[name].currsize + 1 for name in memos)

@@ -23,6 +23,7 @@ from borel_orbits.orbits import (
     pyasetskii_dual,
     residual_set,
     strongly_orth_subsets,
+    upper_canonical,
 )
 
 
@@ -196,6 +197,18 @@ def test_validated_ideal_is_not_checked_again(monkeypatch):
                   + [x for _, x in abelian_nilradicals(rs)]):
         calls.clear()
         assert check_abelian_ideal(rs, ideal) is ideal and calls == []
+
+
+def test_upper_canonical_skips_check_of_validated_ideal(monkeypatch):
+    rs = build_root_system("C4")
+    a = anr_ideal(rs, 3)
+    expected = upper_canonical(rs, frozenset(a))
+    calls = _count_validations(monkeypatch)
+    assert upper_canonical(rs, a) == expected and calls == []
+    # a raw carrier is still checked, and a bad one is refused as before
+    assert upper_canonical(rs, frozenset(a)) == expected and calls == ["is_abelian"]
+    with pytest.raises(ValueError, match="carrier has two roots whose sum is a root"):
+        upper_canonical(rs, range(rs.num_positive))
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borel_orbits import (
     SimpleType,
@@ -126,6 +127,28 @@ def test_dominance_and_min_max():
     assert max_elements(rs, ideal) == {rs.theta_index}
     single = frozenset([rs.parse_root("e2-e5")])
     assert min_elements(rs, single) == single == max_elements(rs, single)
+
+
+_SMALL_TYPES = [f"{f}{n}" for f in "ABCD" for n in range(1, 7)
+                if not (f in "BC" and n < 2) and not (f == "D" and n < 3)]
+_SMALL_TYPES += ["E6", "F4", "G2"]
+
+
+@st.composite
+def _type_and_roots(draw):
+    rs = build_root_system(draw(st.sampled_from(_SMALL_TYPES)))
+    roots = draw(st.sets(st.integers(0, rs.num_positive - 1)))
+    return rs, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(_type_and_roots())
+def test_min_max_match_pairwise_definition(case):
+    rs, roots = case
+    assert min_elements(rs, roots) == frozenset(
+        i for i in roots if not any(j != i and dominance_leq(rs, j, i) for j in roots))
+    assert max_elements(rs, roots) == frozenset(
+        i for i in roots if not any(j != i and dominance_leq(rs, i, j) for j in roots))
 
 
 def test_min_max_of_abelian_subsets_are_strongly_orthogonal():

@@ -3,9 +3,14 @@ import itertools
 import pytest
 
 from borel_orbits import build_root_system, min_elements
-from borel_orbits.ideals import enumerate_abelian_ideals, maximal_abelian_ideals
+from borel_orbits.ideals import (
+    abelian_nilradicals,
+    enumerate_abelian_ideals,
+    maximal_abelian_ideals,
+)
 from borel_orbits.orbits import strongly_orth_subsets, upper_canonical
 from borel_orbits.weyl import (
+    WeylElement,
     absolute_length,
     bruhat_leq,
     identity,
@@ -34,6 +39,7 @@ def test_reflection_matrices_are_involutions():
         rs = build_root_system(typ)
         for i in range(rs.num_positive):
             w = reflection(rs, i)
+            assert w.matrix == _ref_reflection(rs, i)
             assert (w * w).is_identity()
             assert length(rs, w) % 2 == 1
 
@@ -100,16 +106,94 @@ def test_absolute_length_equals_set_size():
                 assert absolute_length(rs, sig.element) == len(s)
 
 
+# -- matrix reference: the Weyl layer as integer matrices on simple-root
+# coordinates, built from reflect() alone and sharing no code with the
+# permutation tables it checks
+
+def _ref_reflection(rs, gamma):
+    # column j is the reflected alpha_j
+    return tuple(zip(*(reflect(rs, gamma, k) for k in rs.simple_indices)))
+
+
+def _ref_identity(rs):
+    n = rs.rank
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _ref_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _ref_length(rs, m):
+    """Number of positive roots whose image under the matrix is negative."""
+    n = rs.rank
+    return sum(min(sum(m[i][j] * r[j] for j in range(n)) for i in range(n)) < 0
+               for r in rs.positive_roots)
+
+
+def _element(rs, m):
+    """The WeylElement whose simple-root images are the columns of m."""
+    npos = rs.num_positive
+    images = []
+    for col in zip(*m):
+        k = rs.root_index.get(col)
+        images.append(k if k is not None else npos + rs.root_index[tuple(-c for c in col)])
+    return WeylElement(rs, tuple(images))
+
+
+def _ref_sigma(rs, orth_set):
+    m = _ref_identity(rs)
+    for g in sorted(orth_set):
+        m = _ref_mul(m, _ref_reflection(rs, g))
+    return m
+
+
+def _column_sign(m, j):
+    return next((1 if row[j] > 0 else -1) for row in m if row[j])
+
+
+def _ref_right_multiply_simple(rs, m, i):
+    # m -> m * s_i in place: column j loses <alpha_j, alpha_i^vee> times column i
+    coli = [row[i] for row in m]
+    for j in range(rs.rank):
+        c = rs.cartan[i][j]
+        if c:
+            for r, cr in enumerate(coli):
+                m[r][j] -= c * cr
+
+
+def _ref_descent_chain(rs, w):
+    wm = [list(row) for row in w]
+    chain = []
+    for _ in range(_ref_length(rs, w)):
+        i = next(j for j in range(rs.rank) if _column_sign(wm, j) < 0)
+        _ref_right_multiply_simple(rs, wm, i)
+        chain.append(i)
+    assert tuple(map(tuple, wm)) == _ref_identity(rs)
+    return chain
+
+
+def _ref_bruhat_leq(rs, u, chain_w):
+    """The lifting loop on matrix columns, along w's descent chain."""
+    um = [list(row) for row in u]
+    for i in chain_w:
+        if _column_sign(um, i) < 0:
+            _ref_right_multiply_simple(rs, um, i)
+    return tuple(map(tuple, um)) == _ref_identity(rs)
+
+
 def _group_elements_with_words(rs):
-    """BFS over words in the simple reflections: element -> one reduced word."""
-    gens = [reflection(rs, i) for i in rs.simple_indices]
-    seen = {identity(rs): ()}
-    frontier = [identity(rs)]
+    """BFS over words in the simple reflections: matrix -> one reduced word."""
+    gens = [_ref_reflection(rs, i) for i in rs.simple_indices]
+    seen = {_ref_identity(rs): ()}
+    frontier = [_ref_identity(rs)]
     while frontier:
         nxt = []
         for w in frontier:
             for k, g in enumerate(gens):
-                cand = w * g
+                cand = _ref_mul(w, g)
                 if cand not in seen:
                     seen[cand] = seen[w] + (k,)
                     nxt.append(cand)
@@ -124,13 +208,18 @@ def _lower_intervals(rs, words):
     set grows letter by letter: each product x may take the next letter s
     exactly when l(xs) = l(x) + 1.
     """
-    gens = [reflection(rs, i) for i in rs.simple_indices]
-    lengths = {w: length(rs, w) for w in words}
+    gens = [_ref_reflection(rs, i) for i in rs.simple_indices]
+    lengths = {w: _ref_length(rs, w) for w in words}
     intervals = {}
     for w, word in words.items():
-        below = {identity(rs)}
+        below = {_ref_identity(rs)}
         for k in word:
-            below |= {x * gens[k] for x in below if lengths[x * gens[k]] == lengths[x] + 1}
+            longer = set()
+            for x in below:
+                y = _ref_mul(x, gens[k])
+                if lengths[y] == lengths[x] + 1:
+                    longer.add(y)
+            below |= longer
         intervals[w] = below
     return intervals
 
@@ -140,11 +229,58 @@ def test_bruhat_matches_subword_oracle(typ):
     rs = build_root_system(typ)
     words = _group_elements_with_words(rs)
     intervals = _lower_intervals(rs, words)
-    elements = sorted(words, key=lambda w: (length(rs, w), w.matrix))
-    for u in elements:
-        for w in elements:
-            assert bruhat_leq(rs, u, w) == (u in intervals[w]), \
+    matrices = sorted(words, key=lambda m: (_ref_length(rs, m), m))
+    elements = {m: _element(rs, m) for m in matrices}
+    gens = [(reflection(rs, i), _ref_reflection(rs, i)) for i in rs.simple_indices]
+    for m, w in elements.items():
+        assert w.matrix == m and length(rs, w) == _ref_length(rs, m)
+        for g, ref_g in gens:
+            assert w * g == elements[_ref_mul(m, ref_g)]
+    for u in matrices:
+        for w in matrices:
+            assert bruhat_leq(rs, elements[u], elements[w]) == (u in intervals[w]), \
                 (typ, words[u], words[w])
+
+
+def _nilradical_involutions(typ):
+    rs = build_root_system(typ)
+    labels = set()
+    for _, ideal in abelian_nilradicals(rs):
+        labels.update(strongly_orth_subsets(rs, ideal))
+    if typ == "D4":
+        five = next(x for x in maximal_abelian_ideals(rs) if len(x) == 5)
+        labels.update(strongly_orth_subsets(rs, five))
+    return rs, sorted(labels, key=lambda s: (len(s), sorted(s)))
+
+
+def check_against_matrix_reference(typ):
+    """sigma_S, its length and Bruhat order on all pairs, against the matrices.
+
+    The labels are those of every abelian nilradical of the type, plus,
+    in D4, those of the maximal abelian ideal of the counterexample.
+    Returns the number of Bruhat pairs compared.  The suite runs rank <= 5;
+    rank 6 (about 285k pairs, most of them in C6) takes under a minute
+    when called directly.
+    """
+    rs, labels = _nilradical_involutions(typ)
+    sigmas = {}
+    for s in labels:
+        ref = _ref_sigma(rs, s)
+        w = sigma_of_orth_set(rs, s).element
+        assert w.matrix == ref, (typ, sorted(s))
+        assert length(rs, w) == _ref_length(rs, ref), (typ, sorted(s))
+        sigmas[ref] = w
+    chains = {m: _ref_descent_chain(rs, m) for m in sigmas}
+    for u, wu in sigmas.items():
+        for w, ww in sigmas.items():
+            assert bruhat_leq(rs, wu, ww) == _ref_bruhat_leq(rs, u, chains[w]), typ
+    return len(sigmas) ** 2
+
+
+@pytest.mark.parametrize("typ", [f"{f}{n}" for f in "ABCD" for n in range(1, 6)
+                                 if (f, n) not in {("B", 1), ("C", 1), ("D", 1), ("D", 2)}])
+def test_nilradical_involutions_match_matrix_reference(typ):
+    assert check_against_matrix_reference(typ) >= 1
 
 
 def test_bruhat_reflexive_and_bounded():
