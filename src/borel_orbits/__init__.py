@@ -42,6 +42,7 @@ from .orbits import (
     dim_estimate_report,
     kostant_cascade,
     krull_dims,
+    label_counts,
     lower_canonical,
     orbit_dims,
     orbit_record,

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
 from .ideals import AbelianIdeal, abelian_nilradicals, check_abelian_ideal, maximal_abelian_ideals
-from .orbits import shift_down, strongly_orth_subsets
+from .orbits import label_counts, shift_down, strongly_orth_subsets
 from .root_system import RootSystem
 
 
@@ -79,17 +79,17 @@ class CountTable:
 
 
 def anr_statistic(rs: RootSystem, node: int) -> CountTable:
-    """Counts of orbit labels by size, from exhaustive enumeration."""
+    """Counts of orbit labels by size, from the counter of orbits.label_counts.
+
+    No label is built, so the count reaches ranks where listing the
+    labels would not fit in memory.
+    """
     ideal = anr_ideal(rs, node)
-    subsets = strongly_orth_subsets(rs, ideal)
-    kmax = max(len(s) for s in subsets)
-    counts = [0] * (kmax + 1)
-    for s in subsets:
-        counts[len(s)] += 1
-    table = CountTable(str(rs.type), node, tuple(counts), len(subsets))
+    counts = label_counts(rs, ideal)
+    table = CountTable(str(rs.type), node, counts, sum(counts))
     if table.counts[0] != 1:
         raise AssertionError("there must be exactly one empty label")
-    if kmax >= 1 and table.counts[1] != len(ideal):
+    if len(counts) > 1 and table.counts[1] != len(ideal):
         raise AssertionError("size-1 labels must match the ideal dimension")
     return table
 

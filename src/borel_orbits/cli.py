@@ -181,10 +181,10 @@ def _cmd_ideals(args) -> int:
 def _cmd_orbits(args) -> int:
     rs = build_root_system(args.type)
     ideal = _resolve_ideal(rs, args)
-    subsets = orbits.strongly_orth_subsets(rs, ideal)
     if args.count:
-        print(len(subsets))
+        print(sum(orbits.label_counts(rs, ideal)))
         return 0
+    subsets = orbits.strongly_orth_subsets(rs, ideal)
     records = [orbits.orbit_record(rs, ideal, s) for s in subsets]
     if args.json:
         print(json.dumps([r.to_json(rs) for r in records], indent=2, sort_keys=True))

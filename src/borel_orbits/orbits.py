@@ -11,6 +11,10 @@ derived sets are
 with orbit dimensions #S + #M_S and #S + #M*_S.  The lower and upper
 canonical sets, Kostant's cascade and the combinatorial Pyasetskii
 dual are all instances of one min/max layer-peeling scheme.
+
+The labels are counted by size without being built (label_counts);
+enumerating them (strongly_orth_subsets) is for callers that need the
+labels themselves, and refuses an ideal with more than MAX_LABELS.
 """
 
 from __future__ import annotations
@@ -24,12 +28,65 @@ from .ideals import check_abelian_ideal, is_abelian, is_validated
 from .root_system import RootSystem, max_elements, min_elements, non_orthogonal_pair
 
 
+# Enumeration keeps every label as a frozenset: 538,078 of them (C11) peak
+# at about 460 MB, so an ideal with more labels than this is refused.
+MAX_LABELS = 1 << 20
+
+
+def label_counts(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, ...]:
+    """Number of strongly orthogonal subsets of an abelian ideal, by size.
+
+    Entry k counts the k-element subsets; entry 0 is the empty set and
+    the last entry is nonzero.  None of the subsets is built: with bit b
+    the lowest bit of an allowed-root mask m, the counting polynomial
+    satisfies f(m) = f(m - b) + x f((m - b) & orth(b)), memoised on m for
+    this call only.  The roots are numbered in the order of their
+    coefficient tuples, which keeps the number of distinct masks small
+    (139,264 for the 12x12 rectangle in A23, against 4.2M in root-index
+    order).
+    """
+    return _count_labels(rs, check_abelian_ideal(rs, ideal))
+
+
+def _count_labels(rs: RootSystem, a: frozenset) -> Tuple[int, ...]:
+    # label_counts on an ideal already validated
+    roots = sorted(a, key=rs.positive_roots.__getitem__)
+    orth = [sum(1 << b for b, h in enumerate(roots) if rs.orth_masks[g] >> h & 1)
+            for g in roots]
+    memo = {0: (1,)}
+
+    def count(m: int) -> Tuple[int, ...]:
+        # the skip branches f(m - b) run as a loop, so the recursion only
+        # nests through taken roots, at most rank deep
+        chain = []
+        while m not in memo:
+            chain.append(m)
+            m &= m - 1
+        f = memo[m]
+        for m in reversed(chain):
+            low = m & -m
+            g = count((m ^ low) & orth[low.bit_length() - 1])
+            out = list(f) + [0] * (len(g) + 1 - len(f))
+            for k, c in enumerate(g, 1):
+                out[k] += c
+            f = memo[m] = tuple(out)
+        return f
+
+    return count((1 << len(roots)) - 1)
+
+
 def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozenset]:
     """All strongly orthogonal subsets of an abelian ideal, incl. the empty set.
 
-    Ordered by (size, root indices).
+    Ordered by (size, root indices).  Raises ValueError, before building
+    any subset, when there would be more than MAX_LABELS of them.
     """
     a = check_abelian_ideal(rs, ideal)
+    total = sum(_count_labels(rs, a))
+    if total > MAX_LABELS:
+        raise ValueError(
+            f"the ideal has {total} orbit labels, more than the {MAX_LABELS} "
+            "that can be listed; count them instead")
     elems = sorted(a)
     masks = rs.orth_masks
     out: List[frozenset] = []

@@ -1,6 +1,7 @@
 import pytest
 
-from borel_orbits import build_root_system, min_elements
+import borel_orbits
+from borel_orbits import anr, build_root_system, min_elements, orbits
 from borel_orbits.anr import (
     anr_ideal,
     anr_nodes,
@@ -13,6 +14,7 @@ from borel_orbits.anr import (
     symmetry_bijection,
     w0l_action,
 )
+from borel_orbits.cli import main
 from borel_orbits.ideals import abelian_nilradicals, maximal_abelian_ideals
 from borel_orbits.orbits import (
     lower_canonical,
@@ -63,6 +65,57 @@ def test_rectangle_against_enumeration():
     ideal = anr_ideal(rs, 1)
     counts = anr_statistic(rs, 1).counts
     assert list(counts) == [rectangle_count(2, 4, k) for k in range(3)]
+
+
+# the counter reaches ranks whose labels are too many to list
+# (C12 has 2,430,355, above orbits.MAX_LABELS)
+
+def test_c_count_closed_form_to_rank_12():
+    for n in range(2, 13):
+        counts = anr_statistic(build_root_system(f"C{n}"), n - 1).counts
+        assert counts == tuple(c_count(n, k) for k in range(n + 1)), n
+
+
+def test_b_and_d_closed_forms_to_rank_12():
+    for n in range(2, 13):
+        assert anr_statistic(build_root_system(f"B{n}"), 0).counts == (1, 2 * n - 1, n - 1)
+    for n in range(4, 13):
+        rs = build_root_system(f"D{n}")
+        assert anr_statistic(rs, 0).counts == (1, 2 * n - 2, n - 1)
+        for node in (n - 2, n - 1):
+            counts = anr_statistic(rs, node).counts
+            assert counts == tuple(d_count(n, k) for k in range(n // 2 + 1)), (n, node)
+
+
+def test_rectangle_closed_form_to_rank_12():
+    for n in range(1, 13):
+        rs = build_root_system(f"A{n}")
+        for node in range(n):
+            m, k = node + 1, n - node
+            counts = anr_statistic(rs, node).counts
+            assert counts == tuple(rectangle_count(m, k, j) for j in range(min(m, k) + 1)), \
+                (n, node)
+
+
+def test_twelve_by_twelve_square():
+    # OEIS A002720: sum_k k! C(12,k)^2
+    table = anr_statistic(build_root_system("A23"), 11)
+    assert table.counts == tuple(rectangle_count(12, 12, k) for k in range(13))
+    assert table.total == 53_334_454_417
+
+
+def test_counting_enumerates_no_label(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("orbit labels were enumerated")
+
+    for module in (borel_orbits, orbits, anr):
+        monkeypatch.setattr(module, "strongly_orth_subsets", refuse)
+    rs = build_root_system("C5")
+    assert anr_statistic(rs, 4).counts == tuple(c_count(5, k) for k in range(6))
+    assert main(["count-anr", "C5"]) == 0
+    assert capsys.readouterr().out == "C5 alpha_5: 1 15 55 55 15 1 | 142\n"
+    assert main(["orbits", "C5", "--anr", "5", "--count"]) == 0
+    assert capsys.readouterr().out == "142\n"
 
 
 @pytest.mark.parametrize("typ,node,counts,total", [

@@ -1,12 +1,20 @@
 """Derived tables are cached by the functions that own them, never on the RootSystem."""
 
+import sys
 from fractions import Fraction
 
-from borel_orbits import RootSystem, SimpleType, weyl
-from borel_orbits.anr import anr_ideal, conjecture_check, w0l_action
+from borel_orbits import RootSystem, SimpleType, build_root_system, weyl
+from borel_orbits.anr import anr_ideal, anr_statistic, conjecture_check, w0l_action
+from borel_orbits.cli import main
 from borel_orbits.chevalley import build_structure_table
 from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal
-from borel_orbits.orbits import kostant_cascade, lower_canonical, orbit_record, strongly_orth_subsets
+from borel_orbits.orbits import (
+    kostant_cascade,
+    label_counts,
+    lower_canonical,
+    orbit_record,
+    strongly_orth_subsets,
+)
 from borel_orbits.weyl import bruhat_leq, identity, sigma_of_orth_set
 
 
@@ -47,3 +55,20 @@ def test_orbit_table_keeps_no_weyl_memo_per_element():
     assert table.currsize == before["_reflection_table"].currsize + 1
     assert table.misses == before["_reflection_table"].misses + 1
     assert all(after[name].currsize <= before[name].currsize + 1 for name in memos)
+
+
+def test_counting_keeps_no_process_wide_memo(capsys):
+    memos = {(mod, name): f for mod, module in sys.modules.items()
+             if mod.startswith("borel_orbits")
+             for name, f in vars(module).items() if hasattr(f, "cache_info")}
+    rs = build_root_system("C6")
+    ideal = anr_ideal(rs, 5)
+    keys = set(vars(rs))
+    before = {key: f.cache_info().currsize for key, f in memos.items()}
+    assert sum(label_counts(rs, ideal)) == 499
+    assert anr_statistic(rs, 5).total == 499
+    assert main(["count-anr", "C6"]) == 0
+    assert main(["orbits", "C6", "--anr", "6", "--count"]) == 0
+    capsys.readouterr()
+    assert {key: f.cache_info().currsize for key, f in memos.items()} == before
+    assert set(vars(rs)) == keys

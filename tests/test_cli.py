@@ -239,6 +239,16 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "not an abelian-nilradical node" in err
 
 
+def test_listing_too_many_labels_exits_1(capsys):
+    # 54,229,907 labels would exhaust memory; counting them is cheap
+    code, out, err = run_cli(capsys, "orbits", "C14", "--anr", "14")
+    assert code == 1 and out == ""
+    assert err == ("error: the ideal has 54229907 orbit labels, more than the "
+                   "1048576 that can be listed; count them instead\n")
+    code, out, _ = run_cli(capsys, "orbits", "C14", "--anr", "14", "--count")
+    assert code == 0 and out == "54229907\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

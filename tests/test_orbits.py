@@ -1,10 +1,14 @@
-import pytest
+from collections import Counter
 
-from borel_orbits import build_root_system, min_elements
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from borel_orbits import build_root_system, min_elements, orbits
 from borel_orbits.ideals import (
     abelian_nilradicals,
     enumerate_abelian_ideals,
     ideal_from_shape,
+    ideal_generated,
     maximal_abelian_ideals,
 )
 from borel_orbits.orbits import (
@@ -12,6 +16,7 @@ from borel_orbits.orbits import (
     dim_estimate_report,
     kostant_cascade,
     krull_dims,
+    label_counts,
     lower_canonical,
     orbit_dims,
     orbit_record,
@@ -24,6 +29,7 @@ from borel_orbits.orbits import (
     strongly_orth_subsets,
     upper_canonical,
 )
+from borel_orbits.suite import all_types
 
 
 def eps(rs, text):
@@ -58,6 +64,55 @@ def test_g2_subsets():
     rs = build_root_system("G2")
     ideal = maximal_abelian_ideals(rs)[0]
     assert [len(s) for s in strongly_orth_subsets(rs, ideal)] == [0, 1, 1, 1]
+
+
+def size_histogram(subsets):
+    sizes = Counter(len(s) for s in subsets)
+    return tuple(sizes[k] for k in range(max(sizes) + 1))
+
+
+def test_label_counts_match_enumeration_up_to_rank_4():
+    checked = 0
+    for typ in all_types(4):
+        rs = build_root_system(typ)
+        for a in enumerate_abelian_ideals(rs):
+            if a:
+                assert label_counts(rs, a) == size_histogram(strongly_orth_subsets(rs, a)), \
+                    (typ, sorted(a))
+                checked += 1
+    assert checked == 116  # 2^rank - 1 nonzero abelian ideals per type
+
+
+@st.composite
+def _abelian_ideal(draw):
+    # every abelian ideal is generated by some roots of a maximal one
+    rs = build_root_system(draw(st.sampled_from(all_types(6))))
+    top = draw(st.sampled_from(maximal_abelian_ideals(rs)))
+    gens = draw(st.sets(st.sampled_from(sorted(top)), min_size=1))
+    return rs, ideal_generated(rs, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_abelian_ideal())
+def test_label_counts_match_enumeration_on_random_ideals(case):
+    rs, ideal = case
+    assert label_counts(rs, ideal) == size_histogram(strongly_orth_subsets(rs, ideal))
+
+
+def test_label_counts_of_the_empty_ideal():
+    rs = build_root_system("B3")
+    assert label_counts(rs, frozenset()) == (1,)
+    assert strongly_orth_subsets(rs, frozenset()) == [frozenset()]
+
+
+def test_enumeration_refuses_more_than_max_labels(a5, shape331, monkeypatch):
+    monkeypatch.setattr(orbits, "MAX_LABELS", 20)
+    assert len(strongly_orth_subsets(a5, shape331)) == 20
+    monkeypatch.setattr(orbits, "MAX_LABELS", 19)
+    with pytest.raises(ValueError, match="has 20 orbit labels, more than the 19"):
+        strongly_orth_subsets(a5, shape331)
+    with pytest.raises(ValueError, match="not abelian"):
+        label_counts(a5, frozenset(range(a5.num_positive)))
 
 
 def test_shift_up_examples(a5, shape331):
