@@ -97,12 +97,6 @@ class StructureTable:
 
     # -- public access --------------------------------------------------
 
-    def n_value(self, i: int, j: int):
-        """N for a pair of positive roots, or None when the sum is no root."""
-        if self.rs.sum_index[i][j] < 0:
-            return None
-        return self._pos_lookup(i, j)
-
     def structure_constant(self, sa: int, ia: int, sb: int, ib: int) -> int:
         """N for signed roots sa*root_ia, sb*root_ib; 0 when the sum is no root."""
         rs = self.rs

@@ -11,18 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .root_system import RootSystem, min_elements
-
-
-def _set_of(mask: int) -> frozenset:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+from .root_system import RootSystem, _set_of
 
 
 def is_ideal(rs: RootSystem, roots: Iterable[int]) -> bool:
@@ -41,12 +30,9 @@ def is_ideal(rs: RootSystem, roots: Iterable[int]) -> bool:
 
 
 def is_abelian(rs: RootSystem, roots: Iterable[int]) -> bool:
-    items = sorted(roots)
-    for a in range(len(items)):
-        for b in range(a, len(items)):
-            if rs.sum_index[items[a]][items[b]] >= 0:
-                return False
-    return True
+    items = frozenset(roots)
+    mask = sum(1 << i for i in items)
+    return not any(rs.sum_masks[i] & mask for i in items)
 
 
 def ideal_generated(rs: RootSystem, generators: Iterable[int]) -> frozenset:
@@ -102,13 +88,6 @@ def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
             if j >= 0:
                 cov |= 1 << j
         covers.append(cov)
-    bad = []
-    for i in range(npos):
-        m = 0
-        for j in range(npos):
-            if rs.sum_index[i][j] >= 0:
-                m |= 1 << j
-        bad.append(m)
 
     found: List[int] = []
 
@@ -118,7 +97,7 @@ def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
             return
         i = order[pos]
         rec(pos + 1, cur)
-        if (covers[i] & cur) == covers[i] and not (bad[i] & cur):
+        if (covers[i] & cur) == covers[i] and not (rs.sum_masks[i] & cur):
             rec(pos + 1, cur | (1 << i))
 
     rec(0, 0)

@@ -8,13 +8,15 @@ derived sets are
     M*_S = (S - positives) meet A           (downward shift inside A),
     J_S  = A minus (S and M_S),
 
-with orbit dimensions #S + #M_S and #S + #M*_S.  The lower and upper
-canonical sets, Kostant's cascade and the combinatorial Pyasetskii
-dual are all instances of one min/max layer-peeling scheme.
+with orbit dimensions #S + #M_S and #S + #M*_S.  The shifts are ORs of
+per-root bitmasks.  The lower and upper canonical sets, Kostant's
+cascade and the combinatorial Pyasetskii dual are all instances of one
+min/max layer-peeling scheme.
 
-The labels are counted by size without being built (label_counts);
-enumerating them (strongly_orth_subsets) is for callers that need the
-labels themselves, and refuses an ideal with more than MAX_LABELS.
+The labels are counted by size without being built (label_counts),
+with a memo of at most MAX_COUNT_STATES masks; enumerating them
+(strongly_orth_subsets) is for callers that need the labels themselves,
+and refuses an ideal with more than MAX_LABELS.
 """
 
 from __future__ import annotations
@@ -25,12 +27,18 @@ from typing import Dict, Iterable, List, Tuple
 
 from . import weyl
 from .ideals import check_abelian_ideal, is_abelian, is_validated
-from .root_system import RootSystem, max_elements, min_elements, non_orthogonal_pair
+from .root_system import RootSystem, _set_of, max_elements, min_elements, non_orthogonal_pair
 
 
 # Enumeration keeps every label as a frozenset: 538,078 of them (C11) peak
 # at about 460 MB, so an ideal with more labels than this is refused.
 MAX_LABELS = 1 << 20
+
+# The counter's memo holds one tuple per distinct allowed-root mask, about
+# 290 B each, so this caps it near 300 MB.  The k x k square in A_{2k-1}
+# needs about 2^k k^2 / 4 states: k = 14 (about 800,000) is counted, and
+# k = 15 is refused.
+MAX_COUNT_STATES = 1 << 20
 
 
 def label_counts(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, ...]:
@@ -40,7 +48,8 @@ def label_counts(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, ...]:
     the last entry is nonzero.  None of the subsets is built: with bit b
     the lowest bit of an allowed-root mask m, the counting polynomial
     satisfies f(m) = f(m - b) + x f((m - b) & orth(b)), memoised on m for
-    this call only.  The roots are numbered in the order of their
+    this call only, and a ValueError is raised once it holds more than
+    MAX_COUNT_STATES masks.  The roots are numbered in the order of their
     coefficient tuples, which keeps the number of distinct masks small
     (139,264 for the 12x12 rectangle in A23, against 4.2M in root-index
     order).
@@ -70,6 +79,10 @@ def _count_labels(rs: RootSystem, a: frozenset) -> Tuple[int, ...]:
             for k, c in enumerate(g, 1):
                 out[k] += c
             f = memo[m] = tuple(out)
+            if len(memo) > MAX_COUNT_STATES:
+                raise ValueError(
+                    f"counting the orbit labels needs more than {MAX_COUNT_STATES} "
+                    "memo states; the ideal is too large to count")
         return f
 
     return count((1 << len(roots)) - 1)
@@ -82,17 +95,19 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
     any subset, when there would be more than MAX_LABELS of them.
     """
     a = check_abelian_ideal(rs, ideal)
-    total = sum(_count_labels(rs, a))
+    counts = _count_labels(rs, a)
+    total = sum(counts)
     if total > MAX_LABELS:
         raise ValueError(
             f"the ideal has {total} orbit labels, more than the {MAX_LABELS} "
             "that can be listed; count them instead")
     elems = sorted(a)
     masks = rs.orth_masks
-    out: List[frozenset] = []
+    # depth first over sorted roots emits each size in lexicographic order
+    by_size: List[List[frozenset]] = [[] for _ in counts]
 
     def rec(start: int, chosen: list, allowed: int):
-        out.append(frozenset(chosen))
+        by_size[len(chosen)].append(frozenset(chosen))
         for pos in range(start, len(elems)):
             i = elems[pos]
             if allowed & (1 << i):
@@ -101,30 +116,29 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
                 chosen.pop()
 
     rec(0, [], (1 << rs.num_positive) - 1)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return [s for bucket in by_size for s in bucket]
 
 
-def _shift(table, s: Iterable[int], within) -> frozenset:
-    # table is rs.sum_index (up) or rs.diff_index (down); within bounds the result
-    out = set()
+def _shift(masks, s: Iterable[int]) -> int:
+    # masks is rs.up_shift_masks or rs.down_shift_masks
+    out = 0
     for g in s:
-        for k in table[g]:
-            if k >= 0 and (within is None or k in within):
-                out.add(k)
-    return frozenset(out)
+        out |= masks[g]
+    return out
 
 
 def shift_up(rs: RootSystem, s: Iterable[int]) -> frozenset:
     """M_S: roots of the form gamma + delta with gamma in S, delta positive."""
-    return _shift(rs.sum_index, s, None)
+    return _set_of(_shift(rs.up_shift_masks, s))
 
 
 def shift_down(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """M*_S: roots gamma - delta landing inside the ideal (not just in Delta+)."""
-    # frozenset() would copy a validated ideal, which is a frozenset subclass
-    within = ideal if isinstance(ideal, frozenset) else frozenset(ideal)
-    return _shift(rs.diff_index, s, within)
+    # the shift reaches all of Delta+ below S; the ideal's mask bounds it
+    within = 0
+    for i in ideal:
+        within |= 1 << i
+    return _set_of(_shift(rs.down_shift_masks, s) & within)
 
 
 def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, int]:
@@ -289,9 +303,6 @@ def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Orbi
     j = a - ss - m_up
     dual = _peel(rs, j, up=False)
     sigma = weyl.sigma_of_orth_set(rs, ss)
-    abs_len = weyl.absolute_length(rs, sigma.element)
-    if abs_len != len(ss):
-        raise AssertionError("absolute length of sigma_S must equal #S")
     return OrbitRecord(
         orth_set=tuple(sorted(ss)),
         dim_in_a=len(ss) + len(m_up),
@@ -301,5 +312,5 @@ def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Orbi
         j_set=tuple(sorted(j)),
         dual=tuple(sorted(dual)),
         sigma_length=weyl.length(rs, sigma.element),
-        sigma_abs_length=abs_len,
+        sigma_abs_length=len(ss),
     )

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Optional, Sequence, Tuple
 
 _RANK_RULES = {
@@ -137,10 +138,20 @@ class RootSystem:
     Instances are created through :func:`build_root_system`, cached per
     type and safe to share.  Every attribute is set at construction and
     none is added later; only the memo behind :meth:`inner` fills in as
-    it is used.  Tables derived elsewhere (structure constants, the Weyl
-    reflection table, Weyl descent chains, the cascade) are cached by the
-    functions that own them; Weyl lengths are recomputed on each call,
-    not cached.
+    it is used.
+
+    The root-pair tables are built in one pass over the pairs i <= j: a
+    root beta_k = beta_i + beta_j fills ``sum_index`` (-1 for no root),
+    ``diff_index`` at (k, i) and (k, j), the sum-partner bitmasks
+    ``sum_masks`` and the shift bitmasks ``up_shift_masks`` (the roots
+    beta_i + beta_j) and ``down_shift_masks`` (the roots beta_k - beta_j).
+    ``orth_masks`` (strongly orthogonal roots) follow from these, and
+    ``up_masks`` (dominating roots) from a closure over simple-root
+    additions.
+
+    Tables derived elsewhere (structure constants, the Weyl reflection
+    table, Weyl descent chains, the cascade) are cached by the functions
+    that own them; Weyl lengths are recomputed on each call, not cached.
     """
 
     def __init__(self, typ: SimpleType):
@@ -192,42 +203,51 @@ class RootSystem:
         self.long = tuple(v == 2 for v in norms)
 
         npos = self.num_positive
-        sum_idx = [[-1] * npos for _ in range(npos)]
-        diff_idx = [[-1] * npos for _ in range(npos)]
-        for i, ri in enumerate(self.positive_roots):
-            for j, rj in enumerate(self.positive_roots):
-                s = tuple(a + b for a, b in zip(ri, rj))
-                k = self.root_index.get(s)
-                if k is not None:
-                    sum_idx[i][j] = k
-                d = tuple(a - b for a, b in zip(ri, rj))
-                k = self.root_index.get(d)
-                if k is not None:
-                    diff_idx[i][j] = k
-        self.sum_index = tuple(tuple(row) for row in sum_idx)
-        self.diff_index = tuple(tuple(row) for row in diff_idx)
-
-        # dominance: up_masks[i] has bit j set iff root_j >= root_i
-        up = []
-        for i, ri in enumerate(self.positive_roots):
-            mask = 0
-            for j, rj in enumerate(self.positive_roots):
-                if all(b - a >= 0 for a, b in zip(ri, rj)):
-                    mask |= 1 << j
-            up.append(mask)
-        self.up_masks = tuple(up)
-
-        orth = []
-        for i in range(npos):
-            mask = 0
-            for j in range(npos):
-                if i != j and sum_idx[i][j] < 0 and diff_idx[i][j] < 0 and diff_idx[j][i] < 0:
-                    mask |= 1 << j
-            orth.append(mask)
-        self.orth_masks = tuple(orth)
-
         self.simple_indices = tuple(
             self.root_index[tuple(_unit_int(i, n))] for i in range(n))
+        sum_idx = [[-1] * npos for _ in range(npos)]
+        diff_idx = [[-1] * npos for _ in range(npos)]
+        sums = [0] * npos
+        up_shift = [0] * npos
+        down_shift = [0] * npos
+        for i, ri in enumerate(self.positive_roots):
+            for j in range(i, npos):
+                k = self.root_index.get(tuple(map(add, ri, self.positive_roots[j])))
+                if k is None:
+                    continue
+                sum_idx[i][j] = sum_idx[j][i] = k
+                diff_idx[k][j] = i
+                diff_idx[k][i] = j
+                sums[i] |= 1 << j
+                sums[j] |= 1 << i
+                up_shift[i] |= 1 << k
+                up_shift[j] |= 1 << k
+                down_shift[k] |= 1 << i | 1 << j
+        self.sum_index = tuple(tuple(row) for row in sum_idx)
+        self.diff_index = tuple(tuple(row) for row in diff_idx)
+        self.sum_masks = tuple(sums)
+        self.up_shift_masks = tuple(up_shift)
+        self.down_shift_masks = tuple(down_shift)
+
+        # beta_j - beta_i and beta_i - beta_j are roots for j in i's shifts
+        full = (1 << npos) - 1
+        self.orth_masks = tuple(
+            full & ~(1 << i | sums[i] | up_shift[i] | down_shift[i])
+            for i in range(npos))
+
+        # dominance: up_masks[i] has bit j set iff root_j >= root_i; every
+        # dominance step factors through simple-root additions, which raise
+        # the index, so the closure runs from the top root down
+        up = [0] * npos
+        for i in reversed(range(npos)):
+            mask = 1 << i
+            for a in self.simple_indices:
+                k = sum_idx[i][a]
+                if k >= 0:
+                    mask |= up[k]
+            up[i] = mask
+        self.up_masks = tuple(up)
+
         self._eps_strings = self._build_eps_strings()
         self._inner_cache = {}
 
@@ -255,12 +275,6 @@ class RootSystem:
     def cartan_pairing(self, mu: Sequence[int], i: int) -> int:
         """<mu, alpha_i^vee> for a coefficient vector mu."""
         return sum(c * self.cartan[i][j] for j, c in enumerate(mu) if c)
-
-    def height(self, i: int) -> int:
-        return self.heights[i]
-
-    def is_long(self, i: int) -> bool:
-        return self.long[i]
 
     def index_of(self, coeffs: Sequence[int]) -> int:
         idx = self.root_index.get(tuple(coeffs))
@@ -390,6 +404,16 @@ def build_root_system(typ) -> RootSystem:
     """Build (or fetch the cached) root system of a simple type."""
     t = SimpleType.parse(typ)
     return _build_cached(t.family, t.rank)
+
+
+def _set_of(mask: int) -> frozenset:
+    """The root indices of the set bits of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def is_root(rs: RootSystem, coeffs: Sequence[int]) -> bool:

@@ -57,13 +57,6 @@ def abelian_count_via_antichains(rs: RootSystem) -> int:
         for j in range(npos):
             if i != j and ((rs.up_masks[i] >> j) & 1 or (rs.up_masks[j] >> i) & 1):
                 comparable[i] |= 1 << j
-    bad = []
-    for i in range(npos):
-        m = 0
-        for j in range(npos):
-            if rs.sum_index[i][j] >= 0:
-                m |= 1 << j
-        bad.append(m)
     found = set()
 
     def consider(mask: int):
@@ -71,7 +64,7 @@ def abelian_count_via_antichains(rs: RootSystem) -> int:
         while probe:
             low = probe & -probe
             i = low.bit_length() - 1
-            if bad[i] & mask:
+            if rs.sum_masks[i] & mask:
                 return
             probe ^= low
         found.add(mask)

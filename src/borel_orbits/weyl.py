@@ -47,10 +47,6 @@ class WeylElement:
         coeffs = _reflection_table(self.rs).coeffs
         return tuple(zip(*(coeffs[k] for k in self.images)))
 
-    def act(self, coeffs) -> tuple:
-        return tuple(sum(row[j] * coeffs[j] for j in range(len(coeffs)) if coeffs[j])
-                     for row in self.matrix)
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         npos = self.rs.num_positive
         perm = _positive_images(self.rs, self.images)
@@ -73,7 +69,8 @@ class Involution:
         return {
             "orth_set": sorted(rs.root_label(i) for i in self.orth_set),
             "length": length(rs, self.element),
-            "abs_length": absolute_length(rs, self.element),
+            # sigma_S is -1 on the span of its |S| orthogonal roots, +1 beyond
+            "abs_length": len(self.orth_set),
         }
 
 
@@ -174,7 +171,11 @@ def length(rs: RootSystem, w: WeylElement) -> int:
 
 
 def absolute_length(rs: RootSystem, w: WeylElement) -> int:
-    """Rank of (identity - w) on the coordinate space."""
+    """Rank of (identity - w) on the coordinate space.
+
+    It is |S| for every sigma_S (Carter 1972), which orbit records emit
+    instead; the rank serves suite item 9 (D4) and the tests.
+    """
     n = rs.rank
     wm = w.matrix
     m = [[(1 if i == j else 0) - wm[i][j] for j in range(n)] for i in range(n)]

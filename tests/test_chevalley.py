@@ -19,8 +19,8 @@ def test_a2_constants():
     rs = build_root_system("A2")
     table = build_structure_table(rs)
     a1, a2 = rs.simple_indices
-    assert abs(table.n_value(a1, a2)) == 1  # p = 0 since a2 - a1 is no root
-    assert table.n_value(a1, rs.theta_index) is None
+    assert abs(table.structure_constant(1, a1, 1, a2)) == 1  # p = 0 since a2 - a1 is no root
+    assert table.structure_constant(1, a1, 1, rs.theta_index) == 0
 
 
 def test_g2_string_magnitudes():
@@ -29,8 +29,8 @@ def test_g2_string_magnitudes():
     a = rs.index_of((1, 0))
     ab = rs.index_of((1, 1))
     a2b = rs.index_of((2, 1))
-    assert abs(table.n_value(a, ab)) == 2   # (a+b) - a = b, -2a no root: p = 1
-    assert abs(table.n_value(a, a2b)) == 3  # string of length 3 below 2a+b
+    assert abs(table.structure_constant(1, a, 1, ab)) == 2   # (a+b) - a = b, -2a no root: p = 1
+    assert abs(table.structure_constant(1, a, 1, a2b)) == 3  # string of length 3 below 2a+b
 
 
 def test_magnitude_profile():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from borel_orbits import build_root_system
+from borel_orbits import build_root_system, orbits
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import check_abelian_ideal
 
@@ -247,6 +247,20 @@ def test_listing_too_many_labels_exits_1(capsys):
                    "1048576 that can be listed; count them instead\n")
     code, out, _ = run_cli(capsys, "orbits", "C14", "--anr", "14", "--count")
     assert code == 0 and out == "54229907\n"
+
+
+def test_counting_too_many_states_exits_1(capsys, monkeypatch):
+    # the E7 nilradical's counter needs 140 memo states
+    monkeypatch.setattr(orbits, "MAX_COUNT_STATES", 139)
+    for argv in (("count-anr", "E7"), ("orbits", "E7", "--anr", "7", "--count"),
+                 ("orbits", "E7", "--anr", "7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == ("error: counting the orbit labels needs more than 139 memo "
+                       "states; the ideal is too large to count\n")
+    monkeypatch.setattr(orbits, "MAX_COUNT_STATES", 140)
+    code, out, _ = run_cli(capsys, "orbits", "E7", "--anr", "7", "--count")
+    assert code == 0 and out == "208\n"
 
 
 def test_usage_errors_exit_2():

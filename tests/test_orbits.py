@@ -77,8 +77,9 @@ def test_label_counts_match_enumeration_up_to_rank_4():
         rs = build_root_system(typ)
         for a in enumerate_abelian_ideals(rs):
             if a:
-                assert label_counts(rs, a) == size_histogram(strongly_orth_subsets(rs, a)), \
-                    (typ, sorted(a))
+                subsets = strongly_orth_subsets(rs, a)
+                assert label_counts(rs, a) == size_histogram(subsets), (typ, sorted(a))
+                assert subsets == sorted(subsets, key=lambda s: (len(s), sorted(s)))
                 checked += 1
     assert checked == 116  # 2^rank - 1 nonzero abelian ideals per type
 
@@ -96,7 +97,9 @@ def _abelian_ideal(draw):
 @given(_abelian_ideal())
 def test_label_counts_match_enumeration_on_random_ideals(case):
     rs, ideal = case
-    assert label_counts(rs, ideal) == size_histogram(strongly_orth_subsets(rs, ideal))
+    subsets = strongly_orth_subsets(rs, ideal)
+    assert label_counts(rs, ideal) == size_histogram(subsets)
+    assert subsets == sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
 def test_label_counts_of_the_empty_ideal():
@@ -113,6 +116,16 @@ def test_enumeration_refuses_more_than_max_labels(a5, shape331, monkeypatch):
         strongly_orth_subsets(a5, shape331)
     with pytest.raises(ValueError, match="not abelian"):
         label_counts(a5, frozenset(range(a5.num_positive)))
+
+
+def test_counting_refuses_more_than_max_count_states(a5, shape331, monkeypatch):
+    # the shape (3,3,1) counter fills 14 memo states, the empty mask included
+    monkeypatch.setattr(orbits, "MAX_COUNT_STATES", 14)
+    assert sum(label_counts(a5, shape331)) == 20
+    monkeypatch.setattr(orbits, "MAX_COUNT_STATES", 13)
+    for f in (label_counts, strongly_orth_subsets):
+        with pytest.raises(ValueError, match="needs more than 13 memo states"):
+            f(a5, shape331)
 
 
 def test_shift_up_examples(a5, shape331):

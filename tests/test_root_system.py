@@ -117,6 +117,41 @@ def test_simply_laced_orthogonal_iff_strongly_orthogonal():
                 assert strongly_orthogonal(rs, i, j) == (rs.inner(i, j) == 0)
 
 
+_TABLE_TYPES = [f"{f}{n}" for f in "ABCD" for n in range(1, 9)
+                if not (f in "BC" and n < 2) and not (f == "D" and n < 3)]
+_TABLE_TYPES += ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("typ", _TABLE_TYPES)
+def test_root_pair_tables_match_coefficient_definitions(typ):
+    # every table rebuilt pairwise from coefficient tuples, sharing no code
+    # with the one-pass build
+    rs = build_root_system(typ)
+    roots = rs.positive_roots
+
+    def index(v):
+        return rs.root_index.get(tuple(v), -1)
+
+    def bits(js):
+        return sum(1 << j for j in set(js))
+
+    sums = [[index(a + b for a, b in zip(ri, rj)) for rj in roots] for ri in roots]
+    diffs = [[index(a - b for a, b in zip(ri, rj)) for rj in roots] for ri in roots]
+    assert rs.sum_index == tuple(map(tuple, sums))
+    assert rs.diff_index == tuple(map(tuple, diffs))
+    assert rs.sum_masks == tuple(bits(j for j, k in enumerate(row) if k >= 0) for row in sums)
+    assert rs.up_shift_masks == tuple(bits(k for k in row if k >= 0) for row in sums)
+    assert rs.down_shift_masks == tuple(bits(k for k in row if k >= 0) for row in diffs)
+    assert rs.up_masks == tuple(
+        bits(j for j, rj in enumerate(roots) if all(b >= a for a, b in zip(ri, rj)))
+        for ri in roots)
+    assert rs.orth_masks == tuple(
+        bits(j for j, rj in enumerate(roots) if j != i
+             and not is_root(rs, [a + b for a, b in zip(ri, rj)])
+             and not is_root(rs, [a - b for a, b in zip(ri, rj)]))
+        for i, ri in enumerate(roots))
+
+
 def test_dominance_and_min_max():
     rs = build_root_system("A5")
     # hooks in the running example presuppose e2-e4 <= e1-e4
