@@ -178,9 +178,7 @@ class ConjectureReport:
                     or self.cover_gap_violations)
 
     def to_json(self, rs: RootSystem) -> dict:
-        def names(s):
-            return sorted(rs.root_label(i) for i in s)
-
+        names = rs.sorted_labels
         return {
             "type": self.type,
             "node": None if self.node is None else self.node + 1,

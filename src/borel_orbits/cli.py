@@ -114,7 +114,7 @@ def _ideal_spec_options(p):
 
 
 def _labels(rs, roots):
-    return ",".join(sorted(rs.root_label(i) for i in roots))
+    return ",".join(rs.sorted_labels(roots))
 
 
 def _parse_vector(rs, text: str) -> dict:
@@ -126,7 +126,10 @@ def _parse_vector(rs, text: str) -> dict:
         if ":" not in part:
             raise ValueError(f"vector entry {part!r} is not of the form root:value")
         token, _, value = part.rpartition(":")
-        out[rs.parse_root(token.strip())] = Fraction(value.strip())
+        try:
+            out[rs.parse_root(token.strip())] = Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"vector entry {part!r} has a zero denominator") from None
     return out
 
 
@@ -170,7 +173,7 @@ def _cmd_ideals(args) -> int:
                  for k, a in enumerate(enumerate_abelian_ideals(rs))]
     if args.json:
         print(json.dumps(
-            [{"name": name, "size": len(a), "roots": sorted(rs.root_label(i) for i in a)}
+            [{"name": name, "size": len(a), "roots": rs.sorted_labels(a)}
              for name, a in items], indent=2, sort_keys=True))
         return 0
     for name, a in items:
@@ -208,11 +211,11 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_cascade(args) -> int:
     rs = build_root_system(args.type)
-    cascade = sorted(orbits.kostant_cascade(rs))
+    cascade = orbits.kostant_cascade(rs)
     if args.json:
         print(json.dumps({
             "type": str(rs.type),
-            "cascade": sorted(rs.root_label(i) for i in cascade),
+            "cascade": rs.sorted_labels(cascade),
             "size": len(cascade),
             "borel_index": orbits.borel_index(rs),
         }, indent=2, sort_keys=True))
@@ -228,12 +231,11 @@ def _cmd_dual(args) -> int:
     s = _parse_root_list(rs, args.set)
     if not s <= ideal:
         raise ValueError("--set must lie inside the chosen ideal")
-    dual = orbits.pyasetskii_dual(rs, ideal, s)
     if args.json:
         record = orbits.orbit_record(rs, ideal, s)
         print(json.dumps(record.to_json(rs), indent=2, sort_keys=True))
         return 0
-    print(_labels(rs, dual))
+    print(_labels(rs, orbits.pyasetskii_dual(rs, ideal, s)))
     return 0
 
 
@@ -246,7 +248,7 @@ def _cmd_normal_form(args) -> int:
     else:
         s, transcript = normal_form.reduce_in_ideal(rs, ideal, vec)
     if args.json:
-        data = {"orth_set": sorted(rs.root_label(i) for i in s),
+        data = {"orth_set": rs.sorted_labels(s),
                 "normalized": transcript.normalized}
         if args.transcript:
             data["transcript"] = transcript.to_json(rs)

@@ -11,45 +11,33 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .root_system import RootSystem, _set_of
+from .root_system import RootSystem, _mask_of, _set_of, _union
 
 
 def is_ideal(rs: RootSystem, roots: Iterable[int]) -> bool:
-    """Upward closure under adding positive roots.
-
-    Closure under adding simple roots suffices: any dominance step
-    between roots factors through simple-root additions.
-    """
-    s = set(roots)
-    for i in s:
-        for k in rs.simple_indices:
-            j = rs.sum_index[i][k]
-            if j >= 0 and j not in s:
-                return False
-    return True
+    """Upward closure under adding positive roots."""
+    mask = _mask_of(roots)
+    return not _union(rs.up_shift_masks, mask) & ~mask
 
 
 def is_abelian(rs: RootSystem, roots: Iterable[int]) -> bool:
-    items = frozenset(roots)
-    mask = sum(1 << i for i in items)
-    return not any(rs.sum_masks[i] & mask for i in items)
+    mask = _mask_of(roots)
+    return not _union(rs.sum_masks, mask) & mask
 
 
 def ideal_generated(rs: RootSystem, generators: Iterable[int]) -> frozenset:
     """Smallest ideal containing the generators: all roots above them."""
-    mask = 0
-    for g in generators:
-        mask |= rs.up_masks[g]
-    return _set_of(mask)
+    return _set_of(_union(rs.up_masks, _mask_of(generators)))
 
 
 class AbelianIdeal(frozenset):
     """Root indices that check_abelian_ideal found to be an abelian ideal of ``rs``.
 
-    Only check_abelian_ideal builds one; set operations return plain frozensets.
+    Only check_abelian_ideal builds one, and gives it its bitmask as
+    ``mask``; set operations return plain frozensets.
     """
 
-    __slots__ = ("rs",)
+    __slots__ = ("rs", "mask")
 
 
 def is_validated(rs: RootSystem, roots: Iterable[int]) -> bool:
@@ -68,6 +56,7 @@ def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
     if not is_abelian(rs, s):
         raise ValueError("ideal is not abelian")
     s.rs = rs
+    s.mask = _mask_of(s)
     return s
 
 
@@ -80,15 +69,8 @@ def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
     """
     npos = rs.num_positive
     order = sorted(range(npos), key=lambda i: (-rs.heights[i], rs.positive_roots[i]))
-    covers = []
-    for i in range(npos):
-        cov = 0
-        for k in rs.simple_indices:
-            j = rs.sum_index[i][k]
-            if j >= 0:
-                cov |= 1 << j
-        covers.append(cov)
-
+    # i plus a root is higher, so decided before i; the chosen roots stay upward closed
+    covers = rs.up_shift_masks
     found: List[int] = []
 
     def rec(pos: int, cur: int):
@@ -109,10 +91,8 @@ def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
 def maximal_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
     """Abelian ideals not properly contained in another abelian ideal."""
     all_ideals = enumerate_abelian_ideals(rs)
-    out = [a for a in all_ideals
-           if not any(a < b for b in all_ideals)]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return [a for a in all_ideals
+            if not any(a < b for b in all_ideals)]
 
 
 def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, AbelianIdeal]]:
@@ -127,8 +107,6 @@ def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, AbelianIdeal]]:
         if rs.theta[node] != 1:
             continue
         ideal = frozenset(i for i, r in enumerate(rs.positive_roots) if r[node] == 1)
-        if any(r[node] > 1 for r in rs.positive_roots):
-            raise AssertionError("coefficient above 1 at a supposedly minuscule node")
         out.append((node, check_abelian_ideal(rs, ideal)))
     return out
 
@@ -152,11 +130,7 @@ def ideal_from_shape(rs: RootSystem, rows: Iterable[int]) -> frozenset:
     picked = set()
     for i, r in enumerate(rows, start=1):
         for j in range(n - r + 1, n + 1):
-            # e_i - e_j = alpha_i + ... + alpha_{j-1}
-            coeffs = [0] * rs.rank
-            for k in range(i, j):
-                coeffs[k - 1] = 1
-            picked.add(rs.index_of(coeffs))
+            picked.add(rs.parse_root(f"e{i}-e{j}"))
     ideal = frozenset(picked)
     if not is_ideal(rs, ideal):
         raise AssertionError("shape did not produce an upward-closed set")

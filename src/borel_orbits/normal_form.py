@@ -19,13 +19,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Optional, Tuple
 
 from . import orbits
 from .chevalley import StructureTable, ad_exp_action, build_structure_table, coad_exp_action
 from .ideals import check_abelian_ideal
 from .intlin import nth_root_fraction, smith_normal_form
-from .root_system import RootSystem, max_elements, min_elements, non_orthogonal_pair
+from .root_system import (RootSystem, _bits, _mask_of, _max_layer, _min_layer, _set_of, _union,
+                          non_orthogonal_pair)
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,11 @@ def _assert_linear_kill(walk, supp, nu: int, delta: int, what: str) -> None:
         k += 1
 
 
-def _hull(rs: RootSystem, ideal: frozenset, roots, up: bool) -> frozenset:
-    """Roots of the ideal above (up) or below at least one of the given roots."""
-    masks = rs.up_masks
-    out = set()
-    for m in ideal:
-        for g in roots:
-            if (masks[g] >> m if up else masks[m] >> g) & 1:
-                out.add(m)
-                break
-    return frozenset(out)
+@cache
+def _down_masks(rs: RootSystem) -> tuple:
+    """down_masks[i] has bit j set iff root_j <= root_i: up_masks transposed."""
+    return tuple(_mask_of(j for j, up in enumerate(rs.up_masks) if up >> i & 1)
+                 for i in range(rs.num_positive))
 
 
 def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
@@ -143,32 +140,38 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
     if table is None:
         table = build_structure_table(rs)
     vec = _clean_vector(rs, a, v)
-    # the side fixes the peeling (min or max), the walk along delta (down
-    # or up), the action (ad or coad) and the sign of the torus character
+    # the side fixes the peeling (min or max), the shift and the hull a kill
+    # must shrink (up or down), the walk along delta (down or up), the
+    # action (ad or coad) and the sign of the torus character
     primal = side == "primal"
     if primal:
-        sign, extremes, walk, action = 1, min_elements, rs.diff_index, ad_exp_action
+        sign, layer_of, shifts, hulls = 1, _min_layer, rs.up_shift_masks, rs.up_masks
+        walk, action = rs.diff_index, ad_exp_action
     else:
-        sign, extremes, walk, action = -1, max_elements, rs.sum_index, coad_exp_action
+        sign, layer_of, shifts, hulls = -1, _max_layer, rs.down_shift_masks, _down_masks(rs)
+        walk, action = rs.sum_index, coad_exp_action
     what = "" if primal else "dual "
     steps = []
-    acc: list = []
+    acc: list = []  # S in the order its layers were peeled
+    s = 0
     while True:
-        rest = set(vec) - set(acc)
-        if not rest:
+        layer = layer_of(rs, _mask_of(vec) & ~s)
+        if not layer:
             break
-        acc.extend(sorted(extremes(rs, rest)))
+        acc.extend(_bits(layer))
+        s |= layer
         bad = non_orthogonal_pair(rs, acc)
         if bad is not None:
             raise AssertionError(
                 f"accumulated set is not strongly orthogonal: "
                 f"{rs.root_label(bad[0])}, {rs.root_label(bad[1])}")
+        # the support stays inside the ideal, so both shifts may be bounded by it
+        shifted = _union(shifts, s) & a.mask
         while True:
-            shifted = orbits.shift_up(rs, acc) if primal else orbits.shift_down(rs, a, acc)
-            targets = shifted & set(vec)
+            targets = shifted & _mask_of(vec)
             if not targets:
                 break
-            nu = min(extremes(rs, targets))
+            nu = _bits(layer_of(rs, targets))[0]
             # nu = gamma + delta (primal) or gamma - delta (dual), gamma in S
             for gamma in acc:
                 delta = rs.diff_index[nu][gamma] if primal else rs.diff_index[gamma][nu]
@@ -180,26 +183,26 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             n = table.structure_constant(1, delta, sign, gamma)
             t = -vec[nu] / (n * vec[gamma])
             before = {g: vec[g] for g in acc}
-            old_hull = _hull(rs, a, targets, primal)
+            old_hull = _union(hulls, targets) & a.mask
             vec = action(table, delta, t, vec, a)
             steps.append((delta, t))
             if nu in vec:
                 raise AssertionError(f"{what}kill step failed to remove its target")
             if any(vec.get(g) != c for g, c in before.items()):
                 raise AssertionError(f"{what}kill step changed a coefficient on S")
-            if not _hull(rs, a, shifted & set(vec), primal) < old_hull:
+            hull = _union(hulls, shifted & _mask_of(vec)) & a.mask
+            if hull & ~old_hull or hull == old_hull:
                 raise AssertionError(f"{what}kill phase is not making progress")
-    s = frozenset(acc)
-    if set(vec) != s:
+    if _mask_of(vec) != s:
         raise AssertionError(f"{what}reduction finished with support different from S")
-    order = sorted(s)
+    order = _bits(s)
     lam = _solve_scalings(rs, order, [1 / vec[g] for g in order], sign)
     normalized = lam is not None
     if normalized:
         vec = _apply_torus(rs, lam, vec, sign)
     else:
         lam = tuple(Fraction(1) for _ in range(rs.rank))
-    return s, ReductionTranscript(side, tuple(steps), lam, normalized, dict(vec))
+    return _set_of(s), ReductionTranscript(side, tuple(steps), lam, normalized, dict(vec))
 
 
 def reduce_in_ideal(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],

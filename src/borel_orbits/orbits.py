@@ -26,8 +26,9 @@ from functools import cache
 from typing import Dict, Iterable, List, Tuple
 
 from . import weyl
-from .ideals import check_abelian_ideal, is_abelian, is_validated
-from .root_system import RootSystem, _set_of, max_elements, min_elements, non_orthogonal_pair
+from .ideals import AbelianIdeal, check_abelian_ideal, is_abelian, is_validated
+from .root_system import (RootSystem, _bits, _check_orth_set, _mask_of, _max_layer, _min_layer,
+                          _set_of, _union, non_orthogonal_pair)
 
 
 # Enumeration keeps every label as a frozenset: 538,078 of them (C11) peak
@@ -101,69 +102,64 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
         raise ValueError(
             f"the ideal has {total} orbit labels, more than the {MAX_LABELS} "
             "that can be listed; count them instead")
-    elems = sorted(a)
     masks = rs.orth_masks
     # depth first over sorted roots emits each size in lexicographic order
     by_size: List[List[frozenset]] = [[] for _ in counts]
 
-    def rec(start: int, chosen: list, allowed: int):
+    def rec(chosen: tuple, allowed: int):
         by_size[len(chosen)].append(frozenset(chosen))
-        for pos in range(start, len(elems)):
-            i = elems[pos]
-            if allowed & (1 << i):
-                chosen.append(i)
-                rec(pos + 1, chosen, allowed & masks[i])
-                chosen.pop()
+        for i in _bits(allowed):
+            # the roots after i that are strongly orthogonal to it
+            rec(chosen + (i,), allowed & masks[i] & ~((1 << i) - 1))
 
-    rec(0, [], (1 << rs.num_positive) - 1)
+    rec((), a.mask)
     return [s for bucket in by_size for s in bucket]
-
-
-def _shift(masks, s: Iterable[int]) -> int:
-    # masks is rs.up_shift_masks or rs.down_shift_masks
-    out = 0
-    for g in s:
-        out |= masks[g]
-    return out
 
 
 def shift_up(rs: RootSystem, s: Iterable[int]) -> frozenset:
     """M_S: roots of the form gamma + delta with gamma in S, delta positive."""
-    return _set_of(_shift(rs.up_shift_masks, s))
+    return _set_of(_union(rs.up_shift_masks, _mask_of(s)))
 
 
 def shift_down(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """M*_S: roots gamma - delta landing inside the ideal (not just in Delta+)."""
-    # the shift reaches all of Delta+ below S; the ideal's mask bounds it
-    within = 0
-    for i in ideal:
-        within |= 1 << i
-    return _set_of(_shift(rs.down_shift_masks, s) & within)
+    return _set_of(_union(rs.down_shift_masks, _mask_of(s)) & _mask_of(ideal))
+
+
+def _label(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[AbelianIdeal, int]:
+    """The validated ideal and the mask of S, checked to be one of its orbit labels."""
+    a = check_abelian_ideal(rs, ideal)
+    mask = _mask_of(s)
+    if mask & ~a.mask:
+        raise ValueError("orbit label must lie inside the ideal")
+    _check_orth_set(rs, _bits(mask))
+    return a, mask
 
 
 def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, int]:
     """(dimension in the ideal, dimension in its dual) of the orbit of S."""
-    ss = frozenset(s)
-    return (len(ss) + len(shift_up(rs, ss)),
-            len(ss) + len(shift_down(rs, ideal, ss)))
+    a, ss = _label(rs, ideal, s)
+    return (ss.bit_count() + _union(rs.up_shift_masks, ss).bit_count(),
+            ss.bit_count() + (_union(rs.down_shift_masks, ss) & a.mask).bit_count())
 
 
-def _peel(rs: RootSystem, carrier: frozenset, up: bool) -> frozenset:
-    # keep the min (up) or max layer, drop it and its shift, repeat
-    extremes = min_elements if up else max_elements
-    remaining = set(carrier)
-    result = set()
+def _peel(rs: RootSystem, carrier: int, up: bool) -> int:
+    # keep the min (up) or max layer, drop it and its shift, repeat;
+    # remaining stays inside the carrier, so the down shift needs no bound
+    layer_of, shifts = ((_min_layer, rs.up_shift_masks) if up
+                        else (_max_layer, rs.down_shift_masks))
+    remaining = carrier
+    result = 0
     while remaining:
-        layer = extremes(rs, remaining)
+        layer = layer_of(rs, remaining)
         result |= layer
-        remaining -= layer
-        remaining -= shift_up(rs, layer) if up else shift_down(rs, carrier, layer)
-    return frozenset(result)
+        remaining &= ~(layer | _union(shifts, layer))
+    return result
 
 
 def lower_canonical(rs: RootSystem, ideal: Iterable[int]) -> frozenset:
     """Iterated min-layer peeling; labels the dense orbit in the ideal."""
-    return _peel(rs, check_abelian_ideal(rs, ideal), up=True)
+    return _set_of(_peel(rs, check_abelian_ideal(rs, ideal).mask, up=True))
 
 
 def upper_canonical(rs: RootSystem, carrier: Iterable[int]) -> frozenset:
@@ -175,36 +171,38 @@ def upper_canonical(rs: RootSystem, carrier: Iterable[int]) -> frozenset:
     Delta+ use :func:`kostant_cascade`.  An abelian ideal validated for
     rs is not checked again.
     """
-    if is_validated(rs, carrier):
-        return _peel(rs, carrier, up=False)
-    c = frozenset(carrier)
-    if not is_abelian(rs, c):
+    c = _mask_of(carrier)
+    if not is_validated(rs, carrier) and not is_abelian(rs, _bits(c)):
         raise ValueError(
             "carrier has two roots whose sum is a root; "
             "it lies in no abelian ideal and the peeled set may fail strong orthogonality")
-    return _peel(rs, c, up=False)
+    return _set_of(_peel(rs, c, up=False))
 
 
 @cache
 def kostant_cascade(rs: RootSystem) -> frozenset:
     """Max-layer peeling of all positive roots; strongly orthogonal."""
-    result = _peel(rs, frozenset(range(rs.num_positive)), up=False)
+    result = _bits(_peel(rs, (1 << rs.num_positive) - 1, up=False))
     if non_orthogonal_pair(rs, result) is not None:
         raise AssertionError("cascade produced a non strongly orthogonal set")
-    return result
+    return frozenset(result)
+
+
+def _residual(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> int:
+    # the mask of J_S, once S is checked to be an orbit label of the ideal
+    a, ss = _label(rs, ideal, s)
+    return a.mask & ~(ss | _union(rs.up_shift_masks, ss))
 
 
 def pyasetskii_dual(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """The dual-orbit label: upper-canonical set of J_S."""
-    # J_S lies inside the abelian ideal that residual_set validates
-    return _peel(rs, residual_set(rs, ideal, s), up=False)
+    # J_S lies inside the abelian ideal that _residual validates
+    return _set_of(_peel(rs, _residual(rs, ideal, s), up=False))
 
 
 def residual_set(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """J_S = ideal minus (S and M_S)."""
-    a = check_abelian_ideal(rs, ideal)
-    ss = frozenset(s)
-    return a - ss - shift_up(rs, ss)
+    return _set_of(_residual(rs, ideal, s))
 
 
 def pyasetskii_map(rs: RootSystem, ideal: Iterable[int]) -> Dict[frozenset, frozenset]:
@@ -236,7 +234,7 @@ def krull_dims(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, int]:
     These also count the codimension-1 orbits in the ideal and its dual.
     """
     a = check_abelian_ideal(rs, ideal)
-    return len(lower_canonical(rs, a)), len(_peel(rs, a, up=False))
+    return _peel(rs, a.mask, up=True).bit_count(), _peel(rs, a.mask, up=False).bit_count()
 
 
 def borel_index(rs: RootSystem) -> int:
@@ -277,40 +275,34 @@ class OrbitRecord:
     sigma_abs_length: int
 
     def to_json(self, rs: RootSystem) -> dict:
-        def names(part):
-            return sorted(rs.root_label(i) for i in part)
-
         return {
-            "orth_set": names(self.orth_set),
+            "orth_set": rs.sorted_labels(self.orth_set),
             "dim_in_a": self.dim_in_a,
             "dim_in_a_star": self.dim_in_a_star,
-            "m_up": names(self.m_up),
-            "m_down": names(self.m_down),
-            "j_set": names(self.j_set),
-            "dual": names(self.dual),
+            "m_up": rs.sorted_labels(self.m_up),
+            "m_down": rs.sorted_labels(self.m_down),
+            "j_set": rs.sorted_labels(self.j_set),
+            "dual": rs.sorted_labels(self.dual),
             "sigma_length": self.sigma_length,
             "sigma_abs_length": self.sigma_abs_length,
         }
 
 
 def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> OrbitRecord:
-    a = check_abelian_ideal(rs, ideal)
-    ss = frozenset(s)
-    if not ss <= a:
-        raise ValueError("orbit label must lie inside the ideal")
-    m_up = shift_up(rs, ss)
-    m_down = shift_down(rs, a, ss)
-    j = a - ss - m_up
-    dual = _peel(rs, j, up=False)
-    sigma = weyl.sigma_of_orth_set(rs, ss)
+    a, ss = _label(rs, ideal, s)
+    m_up = _union(rs.up_shift_masks, ss)
+    m_down = _union(rs.down_shift_masks, ss) & a.mask
+    j = a.mask & ~(ss | m_up)
+    label = _bits(ss)
+    sigma = weyl.sigma_of_orth_set(rs, label)
     return OrbitRecord(
-        orth_set=tuple(sorted(ss)),
-        dim_in_a=len(ss) + len(m_up),
-        dim_in_a_star=len(ss) + len(m_down),
-        m_up=tuple(sorted(m_up)),
-        m_down=tuple(sorted(m_down)),
-        j_set=tuple(sorted(j)),
-        dual=tuple(sorted(dual)),
+        orth_set=label,
+        dim_in_a=len(label) + m_up.bit_count(),
+        dim_in_a_star=len(label) + m_down.bit_count(),
+        m_up=_bits(m_up),
+        m_down=_bits(m_down),
+        j_set=_bits(j),
+        dual=_bits(_peel(rs, j, up=False)),
         sigma_length=weyl.length(rs, sigma.element),
-        sigma_abs_length=len(ss),
+        sigma_abs_length=len(label),
     )

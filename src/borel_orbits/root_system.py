@@ -4,8 +4,9 @@ A root system is built once from its Cartan data and is immutable
 afterwards.  Positive roots are stored as integer coefficient vectors
 over the simple-root basis and indexed in a fixed deterministic order
 (height, then lexicographic coefficients); the rest of the package
-refers to positive roots by these indices and to root subsets as
-frozensets of indices.
+refers to positive roots by these indices.  Inside the package a root
+subset is an int bitmask (bit i for root i) handled only through this
+module's helpers; public functions take index iterables and return frozensets.
 
 Simple-root numbering follows the Bourbaki convention for every family.
 The bilinear form is normalised so that long roots have squared length
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -236,16 +237,11 @@ class RootSystem:
             for i in range(npos))
 
         # dominance: up_masks[i] has bit j set iff root_j >= root_i; every
-        # dominance step factors through simple-root additions, which raise
-        # the index, so the closure runs from the top root down
+        # dominance step factors through root additions, which raise the
+        # index, so the closure runs from the top root down
         up = [0] * npos
         for i in reversed(range(npos)):
-            mask = 1 << i
-            for a in self.simple_indices:
-                k = sum_idx[i][a]
-                if k >= 0:
-                    mask |= up[k]
-            up[i] = mask
+            up[i] = 1 << i | _union(up, up_shift[i])
         self.up_masks = tuple(up)
 
         self._eps_strings = self._build_eps_strings()
@@ -382,6 +378,10 @@ class RootSystem:
         except ValueError:
             raise ValueError(f"{text!r} is not a positive root of {self.type}") from None
 
+    def sorted_labels(self, roots: Iterable[int]) -> List[str]:
+        """The labels of the given roots, sorted as strings."""
+        return sorted(self.root_label(i) for i in roots)
+
     def root_json(self, i: int) -> dict:
         return {"coeffs": list(self.positive_roots[i]), "eps": self.eps_string(i)}
 
@@ -406,14 +406,37 @@ def build_root_system(typ) -> RootSystem:
     return _build_cached(t.family, t.rank)
 
 
-def _set_of(mask: int) -> frozenset:
-    """The root indices of the set bits of a mask."""
+def _mask_of(roots: Iterable[int]) -> int:
+    """The bitmask of a set of root indices."""
+    mask = 0
+    for i in roots:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> Tuple[int, ...]:
+    """The root indices of the set bits of a mask, in ascending order."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return tuple(out)
+
+
+def _set_of(mask: int) -> frozenset:
+    """The root indices of the set bits of a mask."""
+    return frozenset(_bits(mask))
+
+
+def _union(rows, roots: int) -> int:
+    """The OR of the per-root masks in rows over the roots of a mask."""
+    out = 0
+    while roots:
+        low = roots & -roots
+        out |= rows[low.bit_length() - 1]
+        roots ^= low
+    return out
 
 
 def is_root(rs: RootSystem, coeffs: Sequence[int]) -> bool:
@@ -436,12 +459,22 @@ def strongly_orthogonal(rs: RootSystem, i: int, j: int) -> bool:
 
 def non_orthogonal_pair(rs: RootSystem, roots: Iterable[int]) -> Optional[Tuple[int, int]]:
     """First pair of the roots, in index order, that is not strongly orthogonal; else None."""
-    items = sorted(roots)
-    for x, i in enumerate(items):
-        for j in items[x + 1:]:
-            if not strongly_orthogonal(rs, i, j):
-                return i, j
+    mask = _mask_of(roots)
+    for i in _bits(mask):
+        # by symmetry the first root with a bad partner has only later ones
+        bad = mask & ~(rs.orth_masks[i] | 1 << i)
+        if bad:
+            return i, _bits(bad)[0]
     return None
+
+
+def _check_orth_set(rs: RootSystem, roots: Iterable[int]) -> None:
+    """Raise ValueError naming the first pair of the roots that is not strongly orthogonal."""
+    bad = non_orthogonal_pair(rs, roots)
+    if bad is not None:
+        raise ValueError(
+            f"{rs.root_label(bad[0])} and {rs.root_label(bad[1])} "
+            "are not strongly orthogonal")
 
 
 def dominance_leq(rs: RootSystem, i: int, j: int) -> bool:
@@ -449,22 +482,24 @@ def dominance_leq(rs: RootSystem, i: int, j: int) -> bool:
     return bool(rs.up_masks[i] & (1 << j))
 
 
+def _min_layer(rs: RootSystem, mask: int) -> int:
+    # the minimal roots: a root strictly above beta lies above beta plus a root
+    return mask & ~_union(rs.up_masks, _union(rs.up_shift_masks, mask))
+
+
+def _max_layer(rs: RootSystem, mask: int) -> int:
+    # the maximal roots: each lies below no other root of the mask
+    return _mask_of(i for i in _bits(mask) if rs.up_masks[i] & mask == 1 << i)
+
+
 def min_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
     """The roots with no other of the roots below them in dominance order."""
-    s = set(roots)
-    above = 0  # roots strictly above some member of s
-    for j in s:
-        above |= rs.up_masks[j] ^ (1 << j)
-    return frozenset(i for i in s if not above >> i & 1)
+    return _set_of(_min_layer(rs, _mask_of(roots)))
 
 
 def max_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
     """The roots with no other of the roots above them in dominance order."""
-    s = set(roots)
-    mask = 0
-    for j in s:
-        mask |= 1 << j
-    return frozenset(i for i in s if rs.up_masks[i] & mask == 1 << i)
+    return _set_of(_max_layer(rs, _mask_of(roots)))
 
 
 # Bourbaki node index for each Vinberg-Onishchik node index, E types only.

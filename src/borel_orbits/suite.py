@@ -86,7 +86,7 @@ def _eps_set(rs: RootSystem, labels: str) -> frozenset:
 
 
 def _labels(rs: RootSystem, roots) -> str:
-    return ",".join(sorted(rs.root_label(i) for i in roots))
+    return ",".join(rs.sorted_labels(roots))
 
 
 # -- items ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple
 
 from .intlin import matrix_rank
-from .root_system import RootSystem, non_orthogonal_pair
+from .root_system import RootSystem, _check_orth_set
 
 
 def _negate(k: int, npos: int) -> int:
@@ -67,7 +67,7 @@ class Involution:
 
     def to_json(self, rs: RootSystem) -> dict:
         return {
-            "orth_set": sorted(rs.root_label(i) for i in self.orth_set),
+            "orth_set": rs.sorted_labels(self.orth_set),
             "length": length(rs, self.element),
             # sigma_S is -1 on the span of its |S| orthogonal roots, +1 beyond
             "abs_length": len(self.orth_set),
@@ -144,11 +144,7 @@ def reflection(rs: RootSystem, gamma: int) -> WeylElement:
 def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
     """Product of the commuting reflections over a strongly orthogonal set."""
     s = frozenset(orth_set)
-    bad = non_orthogonal_pair(rs, s)
-    if bad is not None:
-        raise ValueError(
-            f"{rs.root_label(bad[0])} and {rs.root_label(bad[1])} "
-            "are not strongly orthogonal")
+    _check_orth_set(rs, s)
     rows = _reflection_table(rs).rows
     # s_{g1} ... s_{gk} in index order acts on a root from the right
     factors = [rows[g] for g in sorted(s, reverse=True)]

@@ -239,6 +239,22 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "not an abelian-nilradical node" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_dual_refuses_a_label_that_is_not_strongly_orthogonal(capsys, extra):
+    # e1-e3 and e1-e4 differ by the root e3-e4; both output modes refuse them
+    code, out, err = run_cli(capsys, "dual", "A3", "--anr", "2",
+                             "--set", "e1-e3,e1-e4", *extra)
+    assert code == 1 and out == ""
+    assert err == "error: e1-e3 and e1-e4 are not strongly orthogonal\n"
+
+
+def test_normal_form_zero_denominator_exits_1(capsys):
+    code, out, err = run_cli(capsys, "normal-form", "A2", "--anr", "1",
+                             "--vector", "e1-e2:1/0")
+    assert code == 1 and out == ""
+    assert err == "error: vector entry 'e1-e2:1/0' has a zero denominator\n"
+
+
 def test_listing_too_many_labels_exits_1(capsys):
     # 54,229,907 labels would exhaust memory; counting them is cheap
     code, out, err = run_cli(capsys, "orbits", "C14", "--anr", "14")

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_orbits import build_root_system, min_elements, orbits
+from borel_orbits import build_root_system, is_root, min_elements, orbits
 from borel_orbits.ideals import (
     abelian_nilradicals,
     enumerate_abelian_ideals,
@@ -299,3 +299,82 @@ def test_pyasetskii_map_full_table(a5, shape331):
     table = pyasetskii_map(a5, shape331)
     assert len(table) == 20
     assert table[frozenset()] == upper_canonical(a5, shape331)
+
+
+@pytest.mark.parametrize("f", [residual_set, pyasetskii_dual, orbit_dims, orbit_record])
+def test_label_functions_refuse_what_is_no_orbit_label(a5, shape331, f):
+    # e1-e4 and e1-e5 lie in the ideal but differ by the root e4-e5
+    with pytest.raises(ValueError, match="e1-e4 and e1-e5 are not strongly orthogonal"):
+        f(a5, shape331, eps(a5, "e1-e4,e1-e5"))
+    with pytest.raises(ValueError, match="orbit label must lie inside the ideal"):
+        f(a5, shape331, eps(a5, "e1-e2"))
+
+
+# -- a frozenset reference for the orbit layer, from coefficient tuples ----
+
+def _ref_index(rs, v):
+    v = tuple(v)
+    return rs.root_index[v] if is_root(rs, v) and v in rs.root_index else None
+
+
+def _ref_shift(rs, s, sign):
+    # gamma + delta (sign 1) or gamma - delta (sign -1) that is a positive root
+    out = set()
+    for g in s:
+        for d in rs.positive_roots:
+            k = _ref_index(rs, [a + sign * b for a, b in zip(rs.positive_roots[g], d)])
+            if k is not None:
+                out.add(k)
+    return frozenset(out)
+
+
+def _ref_leq(rs, i, j):
+    return all(b >= a for a, b in zip(rs.positive_roots[i], rs.positive_roots[j]))
+
+
+def _ref_peel(rs, carrier, up):
+    remaining, result = set(carrier), set()
+    while remaining:
+        layer = {i for i in remaining
+                 if not any(j != i and (_ref_leq(rs, j, i) if up else _ref_leq(rs, i, j))
+                            for j in remaining)}
+        result |= layer
+        remaining -= layer | _ref_shift(rs, layer, 1 if up else -1)
+    return frozenset(result)
+
+
+@pytest.mark.parametrize("typ", all_types(4) + ["E6", "E7"])
+def test_orbit_layer_matches_frozenset_reference(typ):
+    # every abelian ideal at rank <= 4; the E6 node-1 and E7 node-7 nilradicals
+    rs = build_root_system(typ)
+    if rs.rank <= 4:
+        for a in enumerate_abelian_ideals(rs):
+            _check_against_reference(rs, a)
+    else:
+        node = {"E6": 0, "E7": 6}[typ]
+        _check_against_reference(rs, dict(abelian_nilradicals(rs))[node])
+
+
+def _check_against_reference(rs, a):
+    ref_lower, ref_upper = _ref_peel(rs, a, up=True), _ref_peel(rs, a, up=False)
+    assert lower_canonical(rs, a) == ref_lower
+    assert upper_canonical(rs, a) == upper_canonical(rs, frozenset(a)) == ref_upper
+    assert krull_dims(rs, a) == (len(ref_lower), len(ref_upper))
+    for s in strongly_orth_subsets(rs, a):
+        m_up = _ref_shift(rs, s, 1)
+        m_down = _ref_shift(rs, s, -1) & a
+        j = a - s - m_up
+        dual = _ref_peel(rs, j, up=False)
+        dims = (len(s) + len(m_up), len(s) + len(m_down))
+        rec = orbit_record(rs, a, s)
+        assert rec.orth_set == tuple(sorted(s))
+        assert (rec.m_up, rec.m_down) == (tuple(sorted(m_up)), tuple(sorted(m_down)))
+        assert (rec.j_set, rec.dual) == (tuple(sorted(j)), tuple(sorted(dual)))
+        assert (rec.dim_in_a, rec.dim_in_a_star) == orbit_dims(rs, a, s) == dims
+        assert residual_set(rs, a, s) == j and pyasetskii_dual(rs, a, s) == dual
+
+
+@pytest.mark.parametrize("typ", all_types(8))
+def test_kostant_cascade_matches_frozenset_reference(typ):
+    rs = build_root_system(typ)
+    assert kostant_cascade(rs) == _ref_peel(rs, range(rs.num_positive), up=False)

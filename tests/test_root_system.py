@@ -11,6 +11,7 @@ from borel_orbits import (
     strongly_orthogonal,
 )
 from borel_orbits.ideals import enumerate_abelian_ideals, ideal_from_shape
+from borel_orbits.root_system import non_orthogonal_pair
 
 
 def labels(rs, roots):
@@ -184,6 +185,27 @@ def test_min_max_match_pairwise_definition(case):
         i for i in roots if not any(j != i and dominance_leq(rs, j, i) for j in roots))
     assert max_elements(rs, roots) == frozenset(
         i for i in roots if not any(j != i and dominance_leq(rs, i, j) for j in roots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_type_and_roots())
+def test_non_orthogonal_pair_matches_pairwise_loop(case):
+    rs, roots = case
+    items = sorted(roots)
+    expected = next(((i, j) for x, i in enumerate(items) for j in items[x + 1:]
+                     if not strongly_orthogonal(rs, i, j)), None)
+    assert non_orthogonal_pair(rs, roots) == expected
+
+
+@pytest.mark.parametrize("typ", _TABLE_TYPES)
+def test_strongly_orthogonal_pairs_are_orthogonal(typ):
+    # non_orthogonal_pair reads orth_masks directly, without the inner-product
+    # assertion of strongly_orthogonal, so the invariant is checked here
+    rs = build_root_system(typ)
+    for i in range(rs.num_positive):
+        for j in range(rs.num_positive):
+            if rs.orth_masks[i] >> j & 1:
+                assert rs.inner(i, j) == 0, (typ, i, j)
 
 
 def test_min_max_of_abelian_subsets_are_strongly_orthogonal():
