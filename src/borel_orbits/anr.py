@@ -6,6 +6,17 @@ spinor nilradicals, c_{n,k} for the symplectic one) and the two
 exceptional cases.  The checker gathers evidence for the conjectured
 description of dual-orbit closures through Weyl involutions; it reports
 violations, it never proves anything.
+
+The checker orders the distinct involutions sigma_S under Bruhat by a
+transitive closure over integer bitsets, one lower-set mask per
+involution, visited by increasing length.  A pair is lifted through
+weyl.bruhat_leq only if it passes a necessary condition: u <= w forces
+u(lambda) - w(lambda) into the positive root cone for every dominant
+lambda, tested on the fundamental weights as integer vectors.  Pairs
+already implied by transitivity are never lifted.  Dimension
+monotonicity, the covers and the subset check then read the lower sets.
+The checker refuses an ideal with more than MAX_REPORT_LABELS labels,
+from their count, before building any.
 """
 
 from __future__ import annotations
@@ -18,8 +29,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
 from .ideals import AbelianIdeal, abelian_nilradicals, check_abelian_ideal, maximal_abelian_ideals
-from .orbits import label_counts, shift_down, strongly_orth_subsets
-from .root_system import RootSystem
+from .orbits import label_counts, strongly_orth_subsets
+from .root_system import RootSystem, _bits, _mask_of, _union
 
 
 def d_count(n: int, k: int) -> int:
@@ -208,7 +219,86 @@ class ConjectureReport:
         }
 
 
-def _build_report(rs: RootSystem, ideal: frozenset, node: Optional[int]) -> ConjectureReport:
+# A report keeps one lower-set mask of m bits per distinct involution and
+# lifts about m^2 / 36 pairs: C8's 7,193 labels take 1.43M lifts, about
+# 30 s on a 2-vCPU Xeon; C9's 29,186 would take some 24M, so it is refused
+# from the count before any label is built.
+MAX_REPORT_LABELS = 1 << 13
+
+
+@cache
+def _coweight_table(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Per positive root gamma, <w_i, gamma^vee> gamma_j for every (i, j), row-major.
+
+    Summed over a strongly orthogonal set S this is w_i - sigma_S(w_i) in
+    simple-root coordinates: the reflections in S commute and each moves
+    the fundamental weight w_i by <w_i, gamma^vee> gamma.
+    """
+    simple_norms = [rs.root_norms[k] for k in rs.simple_indices]
+    out = []
+    for g, coeffs in enumerate(rs.positive_roots):
+        # <w_i, gamma^vee> is the alpha_i^vee coordinate of the coroot
+        pairing = [c * simple_norms[i] / rs.root_norms[g] for i, c in enumerate(coeffs)]
+        if any(p.denominator != 1 for p in pairing):
+            raise AssertionError("coroot coordinates must be integral")
+        out.append(tuple(int(p) * c for p in pairing for c in coeffs))
+    return tuple(out)
+
+
+def _weight_drop(rs: RootSystem, label: Iterable[int]) -> Tuple[int, ...]:
+    """w_i - sigma_S(w_i) for every fundamental weight, as n^2 integers."""
+    table = _coweight_table(rs)
+    return tuple(map(sum, zip(*(table[g] for g in label)))) or (0,) * rs.rank ** 2
+
+
+def _bruhat_lower_sets(rs: RootSystem, labels: List[frozenset],
+                       elements: List[weyl.WeylElement], lengths: List[int]) -> List[int]:
+    """The Bruhat order on distinct sigma_S, sorted by length, as lower-set masks.
+
+    Bit u of entry w is set iff elements[u] <= elements[w].  u <= w needs
+    u(lambda) - w(lambda) in the positive root cone for dominant lambda
+    (Bjorner-Brenti, GTM 231, Sec. 2.2): u's weight drop is at most w's in
+    each of the n^2 coordinates.  Per coordinate, a table maps a value to
+    the mask of elements whose drop is at most it, so w's candidates are
+    n^2 ANDs.  They are lifted from the longest down; a hit ORs in the
+    candidate's finished lower set, and what is set is never lifted.
+    """
+    drops = [_weight_drop(rs, s) for s in labels]
+    tables = []
+    for column in zip(*drops):
+        exact: Dict[int, int] = {}
+        for u, v in enumerate(column):
+            exact[v] = exact.get(v, 0) | 1 << u
+        at_most, acc = {}, 0
+        for v in sorted(exact):
+            acc |= exact[v]
+            at_most[v] = acc
+        tables.append(at_most)
+    lower: List[int] = []
+    shorter = 0
+    for w, elem in enumerate(elements):
+        if w and lengths[w] != lengths[w - 1]:
+            shorter = (1 << w) - 1
+        candidates = shorter
+        for at_most, v in zip(tables, drops[w]):
+            candidates &= at_most[v]
+        below = 1 << w
+        while candidates:
+            u = candidates.bit_length() - 1
+            candidates ^= 1 << u
+            if weyl.bruhat_leq(rs, elements[u], elem):
+                below |= lower[u]
+                candidates &= ~below
+        lower.append(below)
+    return lower
+
+
+def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> ConjectureReport:
+    count = sum(label_counts(rs, ideal))
+    if count > MAX_REPORT_LABELS:
+        raise ValueError(
+            f"the ideal has {count} orbit labels, more than the {MAX_REPORT_LABELS} "
+            "that a conjecture report can order")
     subsets = strongly_orth_subsets(rs, ideal)
     report = ConjectureReport(type=str(rs.type), ideal=tuple(sorted(ideal)), node=node)
 
@@ -219,7 +309,7 @@ def _build_report(rs: RootSystem, ideal: frozenset, node: Optional[int]) -> Conj
         inv = weyl.sigma_of_orth_set(rs, s)
         sigmas[s] = inv.element
         lengths[s] = weyl.length(rs, inv.element)
-        dims[s] = len(s) + len(shift_down(rs, ideal, s))
+        dims[s] = len(s) + (_union(rs.down_shift_masks, _mask_of(s)) & ideal.mask).bit_count()
         total = lengths[s] + len(s)
         parity_ok = total % 2 == 0
         formula = Fraction(total, 2)
@@ -245,58 +335,58 @@ def _build_report(rs: RootSystem, ideal: frozenset, node: Optional[int]) -> Conj
             report.sigma_collisions.append(
                 (tuple(sorted(labels[0])), tuple(sorted(other))))
     reps.sort(key=lambda s: (lengths[s], sorted(s)))
-    m = len(reps)
-    leq = [[False] * m for _ in range(m)]
-    for i in range(m):
-        leq[i][i] = True
-    for i in range(m):
-        for j in range(m):
-            if i != j and lengths[reps[i]] < lengths[reps[j]]:
-                leq[i][j] = weyl.bruhat_leq(rs, sigmas[reps[i]], sigmas[reps[j]])
+    lower = _bruhat_lower_sets(rs, reps, [sigmas[s] for s in reps],
+                               [lengths[s] for s in reps])
 
-    # dimension monotonicity along strict Bruhat relations
+    # dimension monotonicity along strict Bruhat relations: for label y of
+    # rep j, only the reps below j holding a label of dimension >= dim y
+    # can violate it, and a mask of those per dimension finds them
     rep_index = {sigmas[s]: k for k, s in enumerate(reps)}
     rep_of = [rep_index[sigmas[s]] for s in subsets]
     dim_of = [dims[s] for s in subsets]
-    for x, s1 in enumerate(subsets):
-        i = rep_of[x]
-        row = leq[i]
-        for y, s2 in enumerate(subsets):
-            j = rep_of[y]
-            if i != j and row[j] and dim_of[x] >= dim_of[y]:
-                report.monotonicity_violations.append(
-                    (tuple(sorted(s1)), tuple(sorted(s2))))
+    labels_of: List[List[int]] = [[] for _ in reps]
+    for x, i in enumerate(rep_of):
+        labels_of[i].append(x)
+    at_least = [0] * (max(dim_of) + 2)
+    for i, xs in enumerate(labels_of):
+        at_least[max(dim_of[x] for x in xs)] |= 1 << i
+    for d in reversed(range(len(at_least) - 1)):
+        at_least[d] |= at_least[d + 1]
+    pairs = []
+    for y, j in enumerate(rep_of):
+        for i in _bits(lower[j] & at_least[dim_of[y]] & ~(1 << j)):
+            pairs.extend((x, y) for x in labels_of[i] if dim_of[x] >= dim_of[y])
+    # in the order of the lower label, then the upper one
+    pairs.sort()
+    report.monotonicity_violations = [
+        (tuple(sorted(subsets[x])), tuple(sorted(subsets[y]))) for x, y in pairs]
 
-    # covers in the induced subposet, and their dimension gaps
-    above = [0] * m
-    below = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and leq[i][j]:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    for i in range(m):
-        for j in range(m):
-            if i == j or not leq[i][j]:
-                continue
-            if above[i] & below[j]:
-                continue
-            si, sj = reps[i], reps[j]
-            report.covers.append((tuple(sorted(si)), tuple(sorted(sj))))
-            gap = dims[sj] - dims[si]
-            if gap != 1:
-                report.cover_gap_violations.append(
-                    (tuple(sorted(si)), tuple(sorted(sj)), gap))
-            rank_gap = (Fraction(lengths[sj] + len(sj), 2)
-                        - Fraction(lengths[si] + len(si), 2))
-            if rank_gap != 1:
-                report.rank_graded = False
+    # covers in the induced subposet, and their dimension gaps: walking a
+    # strict lower set from the longest rep down, each rep left is a cover,
+    # and its lower set leaves with it
+    covers = []
+    for j, below in enumerate(lower):
+        strict = below ^ (1 << j)
+        while strict:
+            i = strict.bit_length() - 1
+            covers.append((i, j))
+            strict &= ~lower[i]
+    covers.sort()
+    for i, j in covers:
+        si, sj = reps[i], reps[j]
+        report.covers.append((tuple(sorted(si)), tuple(sorted(sj))))
+        gap = dims[sj] - dims[si]
+        if gap != 1:
+            report.cover_gap_violations.append(
+                (tuple(sorted(si)), tuple(sorted(sj)), gap))
+        if (lengths[sj] + len(sj)) - (lengths[si] + len(si)) != 2:
+            report.rank_graded = False
 
     # removing one root must go down in Bruhat order
     for s in subsets:
         for g in s:
             smaller = s - {g}
-            if not weyl.bruhat_leq(rs, sigmas[smaller], sigmas[s]):
+            if not lower[rep_index[sigmas[s]]] >> rep_index[sigmas[smaller]] & 1:
                 report.subset_violations.append(
                     (tuple(sorted(smaller)), tuple(sorted(s))))
     return report

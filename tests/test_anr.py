@@ -1,7 +1,7 @@
 import pytest
 
 import borel_orbits
-from borel_orbits import anr, build_root_system, min_elements, orbits
+from borel_orbits import anr, build_root_system, min_elements, orbits, weyl
 from borel_orbits.anr import (
     anr_ideal,
     anr_nodes,
@@ -22,6 +22,7 @@ from borel_orbits.orbits import (
     strongly_orth_subsets,
     upper_canonical,
 )
+from borel_orbits.suite import all_types
 
 
 def test_d_count_values():
@@ -260,3 +261,90 @@ def test_maximal_ideal_report_rejects_anr():
         maximal_ideal_report(rs, anr6)
     with pytest.raises(ValueError):
         maximal_ideal_report(rs, frozenset([rs.theta_index]))
+
+
+# -- the Bruhat closure of the report against pairwise lifting ---------------
+
+def _closure_cases():
+    cases = []
+    for typ in all_types(5):
+        cases.extend((typ, node) for node in anr_nodes(build_root_system(typ)))
+    # node None: the largest maximal abelian ideal that is not a nilradical
+    return cases + [("E6", 0), ("E6", 5), ("D4", None), ("B5", None)]
+
+
+def _non_nilradical(rs):
+    nilradicals = [a for _, a in abelian_nilradicals(rs)]
+    return max((a for a in maximal_abelian_ideals(rs) if a not in nilradicals), key=len)
+
+
+def _pairwise_parts(rs, ideal):
+    """Monotonicity, cover and subset lists by lifting every pair of involutions."""
+    subsets = strongly_orth_subsets(rs, ideal)
+    sigma = {s: weyl.sigma_of_orth_set(rs, s).element for s in subsets}
+    ell = {s: weyl.length(rs, sigma[s]) for s in subsets}
+    dim = {s: orbit_dims(rs, ideal, s)[1] for s in subsets}
+    reps = sorted({sigma[s]: min(sorted(t) for t in subsets if sigma[t] == sigma[s])
+                   for s in subsets}.values(), key=lambda t: (ell[frozenset(t)], t))
+    reps = [frozenset(t) for t in reps]
+    m = len(reps)
+    leq = [[weyl.bruhat_leq(rs, sigma[u], sigma[w]) for w in reps] for u in reps]
+    index = {sigma[s]: k for k, s in enumerate(reps)}
+    mono = [(tuple(sorted(a)), tuple(sorted(b))) for a in subsets for b in subsets
+            if index[sigma[a]] != index[sigma[b]] and leq[index[sigma[a]]][index[sigma[b]]]
+            and dim[a] >= dim[b]]
+    covers = [(tuple(sorted(reps[i])), tuple(sorted(reps[j])))
+              for i in range(m) for j in range(m) if i != j and leq[i][j]
+              and not any(leq[i][k] and leq[k][j] for k in range(m) if k not in (i, j))]
+    subset = [(tuple(sorted(s - {g})), tuple(sorted(s))) for s in subsets for g in s
+              if not leq[index[sigma[s - {g}]]][index[sigma[s]]]]
+    return reps, sigma, ell, leq, mono, covers, subset
+
+
+@pytest.mark.parametrize("typ,node", _closure_cases())
+def test_bruhat_closure_matches_pairwise_lifting(typ, node):
+    rs = build_root_system(typ)
+    ideal = anr_ideal(rs, node) if node is not None else _non_nilradical(rs)
+    reps, sigma, ell, leq, mono, covers, subset = _pairwise_parts(rs, ideal)
+    elements = [sigma[s] for s in reps]
+    lower = anr._bruhat_lower_sets(rs, reps, elements, [ell[s] for s in reps])
+    assert [[lower[w] >> u & 1 == 1 for w in range(len(reps))]
+            for u in range(len(reps))] == leq
+    # the weight filter never drops a pair that lifting accepts
+    drops = [anr._weight_drop(rs, s) for s in reps]
+    for u, row in enumerate(leq):
+        for w, related in enumerate(row):
+            if related:
+                assert all(a <= b for a, b in zip(drops[u], drops[w])), (u, w)
+    rep = (conjecture_check(rs, node) if node is not None
+           else maximal_ideal_report(rs, ideal))
+    assert rep.monotonicity_violations == mono
+    assert rep.covers == covers
+    assert rep.subset_violations == subset
+
+
+def test_weight_drop_is_the_fundamental_weight_drop():
+    # <w_i - sigma(w_i), alpha_j^vee> = delta_ij - <w_i, sigma(alpha_j)^vee>,
+    # read off the involution's matrix on simple-root coordinates
+    for typ, node in [("B4", 0), ("C4", 3), ("D5", 4), ("E6", 0), ("F4", None), ("G2", None)]:
+        rs = build_root_system(typ)
+        ideal = anr_ideal(rs, node) if node is not None else _non_nilradical(rs)
+        n = rs.rank
+        norms = [rs.root_norms[k] for k in rs.simple_indices]
+        for s in strongly_orth_subsets(rs, ideal):
+            drop = anr._weight_drop(rs, s)
+            matrix = weyl.sigma_of_orth_set(rs, s).element.matrix
+            for i in range(n):
+                for j in range(n):
+                    assert rs.cartan_pairing(drop[i * n:(i + 1) * n], j) == \
+                        (i == j) - matrix[i][j] * norms[i] / norms[j], (typ, s, i, j)
+
+
+def test_report_lifts_few_pairs(monkeypatch):
+    # pairwise lifting made 120,768 bruhat_leq calls on this nilradical
+    calls = []
+    lift = weyl.bruhat_leq
+    monkeypatch.setattr(weyl, "bruhat_leq", lambda *args: calls.append(1) or lift(*args))
+    rep = conjecture_check(build_root_system("C6"), 5)
+    assert rep.ok() and len(rep.rows) == 499
+    assert len(calls) <= 7000

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from borel_orbits import build_root_system, orbits
+from borel_orbits import anr, build_root_system, orbits
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import check_abelian_ideal
 
@@ -277,6 +278,42 @@ def test_counting_too_many_states_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(orbits, "MAX_COUNT_STATES", 140)
     code, out, _ = run_cli(capsys, "orbits", "E7", "--anr", "7", "--count")
     assert code == 0 and out == "208\n"
+
+
+def test_report_too_many_labels_exits_1(capsys, monkeypatch):
+    # the E7 nilradical has 208 orbit labels
+    monkeypatch.setattr(anr, "MAX_REPORT_LABELS", 207)
+    for argv in (("conjecture-check", "E7", "--node", "7"), ("hasse", "E7", "--node", "7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == ("error: the ideal has 208 orbit labels, more than the 207 "
+                       "that a conjecture report can order\n")
+    monkeypatch.setattr(anr, "MAX_REPORT_LABELS", 208)
+    for argv in (("conjecture-check", "E7", "--node", "7"), ("hasse", "E7", "--node", "7")):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_report_refuses_c10_before_building(capsys):
+    # 123,109 labels: about 7.6e9 pairs, refused from the count alone
+    code, out, err = run_cli(capsys, "conjecture-check", "C10", "--node", "10")
+    assert code == 1 and out == ""
+    assert err == ("error: the ideal has 123109 orbit labels, more than the 8192 "
+                   "that a conjecture report can order\n")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("C6", "--node", "6"),
+     "b5bcac6f3af7d142cca64658ade1be8ef7de1f2826a4b193b62cdfe1ce7030e1"),
+    (("E7", "--node", "7"),
+     "68e78049504326931a44683896ad8ddc366ad30d11a3751547fc8291b7ef67c4"),
+    (("D4", "--ideal", "e1-e4,e1+e4,e2+e3"),
+     "099f3530ca7a71ae9f9c3fed9ab57321a0107147fd4974994f7de091fff2c32e"),
+], ids=["C6", "E7", "D4-ideal"])
+def test_conjecture_report_bytes_are_pinned(capsys, argv, digest):
+    # the reports as pairwise Bruhat lifting printed them
+    code, out, err = run_cli(capsys, "conjecture-check", *argv, "--json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors_exit_2():
