@@ -234,15 +234,9 @@ def _coweight_table(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     simple-root coordinates: the reflections in S commute and each moves
     the fundamental weight w_i by <w_i, gamma^vee> gamma.
     """
-    simple_norms = [rs.root_norms[k] for k in rs.simple_indices]
-    out = []
-    for g, coeffs in enumerate(rs.positive_roots):
-        # <w_i, gamma^vee> is the alpha_i^vee coordinate of the coroot
-        pairing = [c * simple_norms[i] / rs.root_norms[g] for i, c in enumerate(coeffs)]
-        if any(p.denominator != 1 for p in pairing):
-            raise AssertionError("coroot coordinates must be integral")
-        out.append(tuple(int(p) * c for p in pairing for c in coeffs))
-    return tuple(out)
+    # <w_i, gamma^vee> is the alpha_i^vee coordinate of the coroot
+    return tuple(tuple(p * c for p in coroot for c in coeffs)
+                 for coroot, coeffs in zip(rs.coroots, rs.positive_roots))
 
 
 def _weight_drop(rs: RootSystem, label: Iterable[int]) -> Tuple[int, ...]:

@@ -219,15 +219,8 @@ def coad_exp_action(table: StructureTable, delta: int, t: Fraction,
 # -- full bracket on the Chevalley basis (used by tests and demos) ------
 
 def coroot_coeffs(rs: RootSystem, gamma: int) -> tuple:
-    """gamma^vee in the basis of simple coroots; entries are integers."""
-    g = rs.positive_roots[gamma]
-    out = []
-    for i, c in enumerate(g):
-        val = Fraction(c) * rs.form[i][i] / rs.root_norms[gamma]
-        if val.denominator != 1:
-            raise AssertionError("coroot coefficients must be integral")
-        out.append(int(val))
-    return tuple(out)
+    """gamma^vee in the basis of simple coroots: the integer row ``rs.coroots[gamma]``."""
+    return rs.coroots[gamma]
 
 
 def bracket(table: StructureTable, x: Mapping, y: Mapping) -> dict:

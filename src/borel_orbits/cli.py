@@ -337,7 +337,6 @@ def _cmd_conjecture_check(args) -> int:
 def _cmd_hasse(args) -> int:
     rs = build_root_system(args.type)
     rep = anr.conjecture_check(rs, _node_in(rs, args, args.node))
-    dims = {r.orth_set: r.dim_actual for r in rep.rows}
 
     def nid(s):
         return "S_" + "_".join(str(i) for i in s) if s else "S_empty"

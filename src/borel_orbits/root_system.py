@@ -10,7 +10,8 @@ module's helpers; public functions take index iterables and return frozensets.
 
 Simple-root numbering follows the Bourbaki convention for every family.
 The bilinear form is normalised so that long roots have squared length
-2, which keeps every Cartan pairing an exact integer.
+2, which keeps every Cartan pairing an exact integer.  Root norms, inner
+products and the coroot table all follow from those integer pairings.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class SimpleType:
 
 
 def _unit(i: int, dim: int) -> list:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
+    v = [0] * dim
+    v[i] = 1
     return v
 
 
@@ -138,8 +139,13 @@ class RootSystem:
 
     Instances are created through :func:`build_root_system`, cached per
     type and safe to share.  Every attribute is set at construction and
-    none is added later; only the memo behind :meth:`inner` fills in as
-    it is used.
+    none is added or changed later.
+
+    ``coroots[k]`` holds the coordinates of beta_k^vee in the simple
+    coroots, checked integral once here.  Every pairing in the package is
+    the integer sum <mu, beta_k^vee> = sum_i coroots[k][i] <mu, alpha_i^vee>
+    (:meth:`coroot_pairing`); ``root_norms`` and :meth:`inner` follow from
+    the same pairings.
 
     The root-pair tables are built in one pass over the pairs i <= j: a
     root beta_k = beta_i + beta_j fills ``sum_index`` (-1 for no root),
@@ -162,7 +168,6 @@ class RootSystem:
 
         eps_simples, scale, eps_dim = _eps_simple_roots(typ)
         self._eps_simples = eps_simples
-        self._eps_scale = scale
         self._eps_dim = eps_dim
 
         form = [[scale * sum(a * b for a, b in zip(eps_simples[i], eps_simples[j]))
@@ -194,10 +199,19 @@ class RootSystem:
                 raise AssertionError("highest root is not dominance-maximal")
         self.theta = theta
 
-        norms = []
+        # |beta|^2 = sum_i c_i <beta, alpha_i^vee> |alpha_i|^2 / 2, and
+        # beta^vee = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
+        norms, coroots = [], []
         for r in self.positive_roots:
-            norms.append(self._form_value(r, r))
+            norm = sum(c * self.cartan_pairing(r, i) * form[i][i] / 2
+                       for i, c in enumerate(r) if c)
+            coroot = [c * form[i][i] / norm for i, c in enumerate(r)]
+            if any(x.denominator != 1 for x in coroot):
+                raise AssertionError("coroot coordinates must be integral")
+            norms.append(norm)
+            coroots.append(tuple(map(int, coroot)))
         self.root_norms = tuple(norms)
+        self.coroots = tuple(coroots)
         maxnorm = max(norms)
         if maxnorm != 2:
             raise AssertionError("long roots are not normalised to squared length 2")
@@ -205,7 +219,7 @@ class RootSystem:
 
         npos = self.num_positive
         self.simple_indices = tuple(
-            self.root_index[tuple(_unit_int(i, n))] for i in range(n))
+            self.root_index[tuple(_unit(i, n))] for i in range(n))
         sum_idx = [[-1] * npos for _ in range(npos)]
         diff_idx = [[-1] * npos for _ in range(npos)]
         sums = [0] * npos
@@ -245,32 +259,21 @@ class RootSystem:
         self.up_masks = tuple(up)
 
         self._eps_strings = self._build_eps_strings()
-        self._inner_cache = {}
 
     # -- basic queries -------------------------------------------------
 
-    def _form_value(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    total += a * b * self.form[i][j]
-        return total
-
     def inner(self, i: int, j: int) -> Fraction:
         """Bilinear form value of two positive roots, by index."""
-        key = (i, j) if i <= j else (j, i)
-        val = self._inner_cache.get(key)
-        if val is None:
-            val = self._form_value(self.positive_roots[key[0]], self.positive_roots[key[1]])
-            self._inner_cache[key] = val
-        return val
+        # (beta_i, beta_j) = <beta_i, beta_j^vee> |beta_j|^2 / 2
+        return self.coroot_pairing(self.positive_roots[i], j) * self.root_norms[j] / 2
 
     def cartan_pairing(self, mu: Sequence[int], i: int) -> int:
         """<mu, alpha_i^vee> for a coefficient vector mu."""
         return sum(c * self.cartan[i][j] for j, c in enumerate(mu) if c)
+
+    def coroot_pairing(self, mu: Sequence[int], k: int) -> int:
+        """<mu, beta_k^vee> for a coefficient vector mu."""
+        return sum(c * self.cartan_pairing(mu, i) for i, c in enumerate(self.coroots[k]) if c)
 
     def index_of(self, coeffs: Sequence[int]) -> int:
         idx = self.root_index.get(tuple(coeffs))
@@ -282,7 +285,7 @@ class RootSystem:
 
     def _generate(self):
         n = self.rank
-        simples = [tuple(_unit_int(i, n)) for i in range(n)]
+        simples = [tuple(_unit(i, n)) for i in range(n)]
         known = set(simples)
         layer = list(simples)
         while layer:
@@ -314,7 +317,7 @@ class RootSystem:
 
     def _eps_vector(self, coeffs: Sequence[int]):
         dim = self._eps_dim
-        out = [Fraction(0)] * dim
+        out = [0] * dim
         for i, c in enumerate(coeffs):
             if c:
                 for k in range(dim):
@@ -387,12 +390,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.type}, {self.num_positive} positive roots)"
-
-
-def _unit_int(i: int, n: int):
-    v = [0] * n
-    v[i] = 1
-    return v
 
 
 @lru_cache(maxsize=None)

@@ -89,6 +89,15 @@ def _labels(rs: RootSystem, roots) -> str:
     return ",".join(rs.sorted_labels(roots))
 
 
+def _ideals_up_to_rank(max_rank: int):
+    """(root system, ideal) for every nonzero abelian ideal of every type up to the rank."""
+    for t in all_types(max_rank):
+        rs = build_root_system(t)
+        for a in enumerate_abelian_ideals(rs):
+            if a:
+                yield rs, a
+
+
 # -- items ----------------------------------------------------------------
 
 def item_01_shape331_count(seed: int):
@@ -122,18 +131,14 @@ def item_03_canonical_sets(seed: int):
 
 def item_04_pyasetskii(seed: int):
     checked = 0
-    for t in all_types(5):
-        rs = build_root_system(t)
-        for ideal in enumerate_abelian_ideals(rs):
-            if not ideal:
-                continue
-            cu = orbits.upper_canonical(rs, ideal)
-            cl = orbits.lower_canonical(rs, ideal)
-            if orbits.pyasetskii_dual(rs, ideal, frozenset()) != cu:
-                return False, f"dual of the empty set is not C^u in {t}"
-            if orbits.pyasetskii_dual(rs, ideal, cl) != frozenset():
-                return False, f"dual of C^l is not empty in {t}"
-            checked += 1
+    for rs, ideal in _ideals_up_to_rank(5):
+        cu = orbits.upper_canonical(rs, ideal)
+        cl = orbits.lower_canonical(rs, ideal)
+        if orbits.pyasetskii_dual(rs, ideal, frozenset()) != cu:
+            return False, f"dual of the empty set is not C^u in {rs.type}"
+        if orbits.pyasetskii_dual(rs, ideal, cl) != frozenset():
+            return False, f"dual of C^l is not empty in {rs.type}"
+        checked += 1
     rs = build_root_system("A5")
     ideal = ideal_from_shape(rs, [3, 3, 1])
     dual = orbits.pyasetskii_dual(rs, ideal, _eps_set(rs, "e1-e4,e2-e6"))
@@ -213,24 +218,20 @@ def item_07_krull(seed: int):
     if (p, m) != (3, 2):
         return False, f"A5 shape (3,3,1) gave (p, m) = ({p}, {m})"
     checked = 0
-    for t in all_types(5):
-        rsys = build_root_system(t)
-        for a in enumerate_abelian_ideals(rsys):
-            if not a:
-                continue
-            p, m = orbits.krull_dims(rsys, a)
-            dim = len(a)
-            codim1 = codim1_star = 0
-            for s in orbits.strongly_orth_subsets(rsys, a):
-                da, ds = orbits.orbit_dims(rsys, a, s)
-                if da == dim - 1:
-                    codim1 += 1
-                if ds == dim - 1:
-                    codim1_star += 1
-            if codim1 != p or codim1_star != m:
-                return False, (f"{t}: codim-1 counts ({codim1}, {codim1_star}) "
-                               f"vs (p, m) = ({p}, {m})")
-            checked += 1
+    for rsys, a in _ideals_up_to_rank(5):
+        p, m = orbits.krull_dims(rsys, a)
+        dim = len(a)
+        codim1 = codim1_star = 0
+        for s in orbits.strongly_orth_subsets(rsys, a):
+            da, ds = orbits.orbit_dims(rsys, a, s)
+            if da == dim - 1:
+                codim1 += 1
+            if ds == dim - 1:
+                codim1_star += 1
+        if codim1 != p or codim1_star != m:
+            return False, (f"{rsys.type}: codim-1 counts ({codim1}, {codim1_star}) "
+                           f"vs (p, m) = ({p}, {m})")
+        checked += 1
     return True, (f"(p, m) = (3, 2) for the running example; codimension-1 counts "
                   f"match on {checked} ideals at rank <= 5")
 
@@ -245,26 +246,22 @@ def item_08_index(seed: int):
         if orbits.borel_index(rs) != 0:
             return False, f"index of the Borel in C{n} is nonzero"
     equalities = []
-    for t in all_types(6):
-        rs = build_root_system(t)
+    for rs, a in _ideals_up_to_rank(6):
         fam, n = rs.type.family, rs.rank
-        for a in enumerate_abelian_ideals(rs):
-            if not a:
-                continue
-            est = orbits.dim_estimate_report(rs, a)
-            if est.equality and not est.cascade_inside:
-                return False, f"{t}: equality without the cascade inside the ideal"
-            # B2 and D3 coincide with C2 and A3, so their extremes count too
-            expected_eq = (
-                (fam == "A" and len(a) == ((n + 1) ** 2) // 4)
-                or (fam == "C" and len(a) == (n * n + n) // 2)
-                or (fam == "B" and n == 2 and len(a) == 3)
-                or (fam == "D" and n == 3 and len(a) == 4))
-            if est.equality != expected_eq:
-                return False, (f"{t} ideal of size {len(a)}: equality="
-                               f"{est.equality}, expected {expected_eq}")
-            if est.equality:
-                equalities.append((t, len(a)))
+        est = orbits.dim_estimate_report(rs, a)
+        if est.equality and not est.cascade_inside:
+            return False, f"{rs.type}: equality without the cascade inside the ideal"
+        # B2 and D3 coincide with C2 and A3, so their extremes count too
+        expected_eq = (
+            (fam == "A" and len(a) == ((n + 1) ** 2) // 4)
+            or (fam == "C" and len(a) == (n * n + n) // 2)
+            or (fam == "B" and n == 2 and len(a) == 3)
+            or (fam == "D" and n == 3 and len(a) == 4))
+        if est.equality != expected_eq:
+            return False, (f"{rs.type} ideal of size {len(a)}: equality="
+                           f"{est.equality}, expected {expected_eq}")
+        if est.equality:
+            equalities.append((rs.type, len(a)))
     return True, (f"index formulas hold (A up to rank 7, C up to 6); equality cases "
                   f"at rank <= 6 are exactly {len(equalities)} A/C extremes")
 
@@ -322,14 +319,6 @@ def item_10_conjecture_evidence(seed: int):
                   f"({rows} orbits, {covers} cover pairs checked)")
 
 
-def _ideals_up_to_rank(max_rank: int):
-    for t in all_types(max_rank):
-        rs = build_root_system(t)
-        for a in enumerate_abelian_ideals(rs):
-            if a:
-                yield rs, a
-
-
 def item_11_normal_form(seed: int):
     rng = random.Random(seed)
     trials = 0
@@ -385,30 +374,24 @@ def item_11_normal_form(seed: int):
 
 def item_12_structural(seed: int):
     # pairwise disjointness of up/down shift directions at rank <= 5
-    for t in all_types(5):
-        rs = build_root_system(t)
-        npos = rs.num_positive
-        for a in enumerate_abelian_ideals(rs):
-            items = sorted(a)
-            for x in range(len(items)):
-                for y in range(x + 1, len(items)):
-                    g1, g2 = items[x], items[y]
-                    if not (rs.orth_masks[g1] >> g2) & 1:
-                        continue
-                    for d in range(npos):
-                        if rs.sum_index[g1][d] >= 0 and rs.sum_index[g2][d] >= 0:
-                            return False, f"{t}: up-shift sets intersect"
-                        down1 = rs.diff_index[g1][d]
-                        down2 = rs.diff_index[g2][d]
-                        if down1 in a and down2 in a:
-                            return False, f"{t}: down-shift sets intersect"
+    for rs, a in _ideals_up_to_rank(5):
+        items = sorted(a)
+        for x in range(len(items)):
+            for y in range(x + 1, len(items)):
+                g1, g2 = items[x], items[y]
+                if not (rs.orth_masks[g1] >> g2) & 1:
+                    continue
+                for d in range(rs.num_positive):
+                    if rs.sum_index[g1][d] >= 0 and rs.sum_index[g2][d] >= 0:
+                        return False, f"{rs.type}: up-shift sets intersect"
+                    down1 = rs.diff_index[g1][d]
+                    down2 = rs.diff_index[g2][d]
+                    if down1 in a and down2 in a:
+                        return False, f"{rs.type}: down-shift sets intersect"
     # the cascade restricts to the upper canonical set of every ideal
-    for t in all_types(5):
-        rs = build_root_system(t)
-        cascade = orbits.kostant_cascade(rs)
-        for a in enumerate_abelian_ideals(rs):
-            if a and orbits.upper_canonical(rs, a) != cascade & a:
-                return False, f"{t}: C^u is not the cascade restricted to the ideal"
+    for rs, a in _ideals_up_to_rank(5):
+        if orbits.upper_canonical(rs, a) != orbits.kostant_cascade(rs) & a:
+            return False, f"{rs.type}: C^u is not the cascade restricted to the ideal"
     # 2^rank abelian ideals, against the independent antichain enumerator
     for t in all_types(7):
         rs = build_root_system(t)

@@ -79,14 +79,13 @@ def identity(rs: RootSystem) -> WeylElement:
 
 
 def reflect(rs: RootSystem, gamma: int, mu: int) -> tuple:
-    """Coefficient vector of the reflection of root mu in root gamma."""
-    g = rs.positive_roots[gamma]
+    """Coefficient vector of s_gamma(mu) = mu - <mu, gamma^vee> gamma, by root index.
+
+    The pairing is an integer sum over the coroot table of the root system.
+    """
     m = rs.positive_roots[mu]
-    coef = 2 * rs.inner(mu, gamma) / rs.inner(gamma, gamma)
-    if coef.denominator != 1:
-        raise AssertionError("reflection pairing must be integral")
-    c = int(coef)
-    return tuple(a - c * b for a, b in zip(m, g))
+    c = rs.coroot_pairing(m, gamma)
+    return tuple(a - c * b for a, b in zip(m, rs.positive_roots[gamma]))
 
 
 class _Table(NamedTuple):

@@ -316,6 +316,88 @@ def test_conjecture_report_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `roots T` and `structure-table T --json` for every type of rank
+# <= 8, recorded before norms, inner products and coroots came from the
+# integer coroot table; the roots text shows which roots are long
+ROOT_TABLE_DIGESTS = {
+    "A1": ("7dd500776c6695a4b7a8547951e7b2189b8d9a6d239e23aa966f4e4886f92c99",
+           "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "A2": ("1974b2579a21d881587fb153eba1821d0ee2c0a1623b8dd0b61373ae15cca15b",
+           "cad65b8e93623d859580fd2d38620532c693341fd8798ac346cf85578bf72637"),
+    "A3": ("606d55112fa3a37c7782953607975f207813de78408bddf2c7d468f1a801166c",
+           "e4835bfb575d19d25ec70663b6a3a84c503ce5251f3a794f5398df23cf859f93"),
+    "A4": ("bbe56af56cff78e8a1d64b9e14b3375fa576c8b9bc21cec8de7123211fcc55a8",
+           "a36f54089bdf11040fa13db2c16858a7f4c5b34db616354acc190c160b034a64"),
+    "A5": ("df5d54d6285becc4eea95f531f976756f44a8f1aeeeac4ae42ba143b752fbffe",
+           "12d29b90321714b05dd37fb8780425b771c01fc0eaf6ef9a9660ba7edd88e9a6"),
+    "A6": ("3d6ff65b8519d49330007834d88a1efe43b41d3c2200ab4cf2df4dc030f57d09",
+           "37fd7d65f0be5712c2666d564bef7f6d4bb24691c3a28a1a88eef2f9cc16128f"),
+    "A7": ("01d747d7c67c9584b38776c852c3e74a8a406ff76bd5805919ef6bbc8012167c",
+           "bf6464fd6c6afcedbd67ceffc502db3ecd214e8de59591303bea3daf1ab2bbcd"),
+    "A8": ("29b30f048dd407d8123bc874917de9316a394ae1593a16b50dff48064cca300d",
+           "62e90d69bdacfb29b259cbaf30d4cd6ae55787a74a34cb0212ab750923f1e073"),
+    "B2": ("422041f94fdb5a94a5cddcb19efd3a6c34202c9c962f0136c3f75b14ed7dc209",
+           "8e370ec9e7892ac8e802b972a12dc159dfc3201f7c06a9c006b01fadb2492f67"),
+    "B3": ("647c39b43f7f6c0e0d1cee3a39639dd9521a2c8096cfd7110770c960fae695eb",
+           "2cc6fe026fe503c2c0ea4516ec16b88e4895cc66374951a269154278f84de109"),
+    "B4": ("2d023dd474d9917e5e8f99fb6b0faec5c9dcd3363e5276aa1f387cf1eb9d6f56",
+           "66554f2882dbd40c2ad64188c5365c52250510c55893caa3a5798f0a873bf70f"),
+    "B5": ("8e05b34033fbe8e471dfe38a0ed5292440ea45073db35649cf273df2a444ece7",
+           "463e5c88f1803953514fdfe9ca910f8a335681996310ef9928408b5b72812215"),
+    "B6": ("1e64eb98d8ce29d9da4850bb15e0f3cc298490069462b59ba827f781e93fa4e9",
+           "ec2dc8db19a58c7991627973dbaadc8b564ddf3a3aafeb588aa3b3a2789b97cc"),
+    "B7": ("de69e0c4e9bedd457cd19a49425a177c825ef47629339e43759eeef01a7d8666",
+           "2ac5ce637aaca5996064f7bf05decb6d6ea9bb517e61395d12c9a5de4f71bc65"),
+    "B8": ("e0b5da3a6406b588a933a805a96aa2e080aa894e385de965195e11e2d4470d3f",
+           "d9c25722ff9eb9843921162e876271d54ded9dc45925ce27f0a63f1db46ac411"),
+    "C2": ("d6107aa15957b4ca4ad57bc12a84466b1579e95047a8b6944f9b2fd388c48e05",
+           "cbf05e9fa778a678b0af73124e11fc43e810f258fc04d7565e94f211a18d77a2"),
+    "C3": ("3583df46680d3f1833ccaa9455d7aadded458de8490246520224691597edcf87",
+           "9c7caf4d59aad4960511a138dd1da010a631605ee90a93a65ce9511c79ab1f4e"),
+    "C4": ("46e38a9ece606b3e91871693d7c15c5463f129e008c5d4e2daff173d5883b08d",
+           "f7f26076ef3376e935de777729db7bf390e44a99a3bdeaad564e98f3a200cbd0"),
+    "C5": ("6ced9b1447ec5d520d79a8553f6c8460b39cb88bb58bdcf08c76fa812ba26cf9",
+           "7cd821be42c43b85abdf167e525e69fd508e2f1f28d822fb99f404415be64af4"),
+    "C6": ("811edda9a8af8006c2cfa953a56e27e5aaae215f5ba213519329922b3431ccdd",
+           "7f034435f07ac2cc2d2d3d4018a549e9d14daf6c0299723a93e4919621044671"),
+    "C7": ("d60246573781a47b071c1999ab4c7f6cd26643cbedf8f77113bb9df7799c042c",
+           "02b12a81e1d1c13abffe5628a1103a5886e4a92d27fd8ae1434116ed90e27a8b"),
+    "C8": ("a114e597823a6843269780f37437cf19e951d91a9972b11c912c2af3476e64a2",
+           "51f60c53e12c7e170c469596f7d02583f00f66cf4d73e0264c84a8cdf433836f"),
+    "D3": ("9aa2c0a86f68af3f9291d2f71b935899272d2c5eac80910d3a2d0c7b464e2d33",
+           "802653392e88030253358818b36028c3860349b102507be14afe4be5c802f609"),
+    "D4": ("24f9c564baf290557d60d24c224c7584fedff15c01509c665cdb1f88eb050804",
+           "0deb0165655d7cb9f99f888c6e6676bd1cb9710386bb2d0efcb485adcf49e2f4"),
+    "D5": ("4461c4223ec4739cb9a16a29f9411d1335d8316da52d81df71dcfd08faf7003d",
+           "8c477a4b4f8d7afe620a53e78b282eb23f0e066bd0d04fe7bc4ce84606a0ca57"),
+    "D6": ("193b4469e2f5e06ed777a61ba01c47065df736a612608cca9e936104a49202ad",
+           "b9dbe5201f92718ba56f636466a75e8c1e852250e79b164aa2f1952b6cb29926"),
+    "D7": ("eac3daf11a3ec786d357cd4959d2a298ac204c11726cb12541437410b64fd938",
+           "18f367652f3e49e95c1aa12d4c8822706d61ff1cdc54ac520025b8cd1c2b56d8"),
+    "D8": ("52a93b5d04d28334d6d23b62220f74f28a36c32cd3eb9e57c368fc3db0af59c2",
+           "ae8535966594a3ebfbc59a6457596a9fd030fae491cf5e44f9c61cb9097d8e83"),
+    "E6": ("6c5c69cc8021345f57a6d25a4cb0e3cd75eed7abff4b1e35ff310c039f402987",
+           "5f949e1a7aa99c5138b89c15be582d908fe594d4c375c6a0462168fdcf0074b1"),
+    "E7": ("598fa98fdb9683780df52ddd375a3fba20c7a8e39ef01c3f8b6b00982b062727",
+           "cefe40d22f9067e7a70932de7507557f5c9c8c730d5a0340766550eff31c4eca"),
+    "E8": ("0d264e7be29c166598a436bca2b029b653a8e50ea9b38a755a17c151a0c56494",
+           "0245ddd4a78f990b09bdacd02fd33f19374854905566770cb2de438b262ce6fe"),
+    "F4": ("fb1920a7899c3a158a4dae9f0281ff31534ffd6e5175c27bd3f4a87b1b73f11e",
+           "f2967c79f39afa0a2a6f6f4c4ed2c583f805ef093526fa3021bcf7afdb19c05b"),
+    "G2": ("851e521758ff372faa388a92d0e5a8e9a834f7f74bc03989c5b9793b8fbd193e",
+           "71f06c0ea77f39317a2ce0bf3859e1626ffbfca15312da0935ee1467a79b0848"),
+}
+
+
+@pytest.mark.parametrize("typ", sorted(ROOT_TABLE_DIGESTS))
+def test_root_and_structure_tables_are_pinned(capsys, typ):
+    for command, digest in zip((("roots", typ), ("structure-table", typ, "--json")),
+                               ROOT_TABLE_DIGESTS[typ]):
+        code, out, err = run_cli(capsys, *command)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -12,6 +12,8 @@ from borel_orbits import (
 )
 from borel_orbits.ideals import enumerate_abelian_ideals, ideal_from_shape
 from borel_orbits.root_system import non_orthogonal_pair
+from borel_orbits.suite import all_types
+from borel_orbits.weyl import reflect
 
 
 def labels(rs, roots):
@@ -70,12 +72,38 @@ def test_theta_is_dominance_maximal():
 
 
 def test_root_table_closed_under_simple_reflections():
-    from borel_orbits.weyl import reflect
     for typ in ("A3", "B3", "C3", "D4", "G2", "F4"):
         rs = build_root_system(typ)
         for i in rs.simple_indices:
             for mu in range(rs.num_positive):
                 assert is_root(rs, reflect(rs, i, mu))
+
+
+def _form_images(rs):
+    """F beta for every positive root beta, F the Gram matrix ``rs.form``.
+
+    (u, v) = sum_kl u_k v_l form[k][l] = u . F v is the reference quadratic
+    form, independent of the Cartan pairings and the coroot table.
+    """
+    return [[sum(c * rs.form[k][l] for l, c in enumerate(r) if c) for k in range(rs.rank)]
+            for r in rs.positive_roots]
+
+
+@pytest.mark.parametrize("typ", all_types(8))
+def test_norms_inner_coroots_and_reflections_match_the_quadratic_form(typ):
+    rs = build_root_system(typ)
+    roots = rs.positive_roots
+    images = _form_images(rs)
+    for j, g in enumerate(roots):
+        norm = sum(a * f for a, f in zip(g, images[j]) if a)
+        assert rs.root_norms[j] == norm and rs.long[j] == (norm == 2)
+        # gamma^vee = 2 gamma / (gamma, gamma) and alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i)
+        assert rs.coroots[j] == tuple(c * rs.form[i][i] / norm for i, c in enumerate(g))
+        for i, m in enumerate(roots):
+            value = sum(a * f for a, f in zip(m, images[j]) if a)
+            assert rs.inner(i, j) == value, (i, j)
+            coef = 2 * value / norm
+            assert reflect(rs, j, i) == tuple(a - coef * b for a, b in zip(m, g)), (i, j)
 
 
 def test_strong_orthogonality_c2_brute_force():
