@@ -9,6 +9,9 @@ exact integers of absolute value p+1 for the relevant root string.
 The exp(ad) action on an ideal and the coadjoint action on its dual are
 one routine that follows root strings up or down by delta; the sides
 differ only where a string leaves the ideal: ad fails, coad truncates.
+It sums the chain terms c * N * t^k / k! per target as integer
+(numerator, denominator) pairs and builds one ``Fraction`` per touched
+coefficient.
 """
 
 from __future__ import annotations
@@ -181,23 +184,33 @@ def _exp_action(table: StructureTable, delta: int, t: Fraction,
                 v: Mapping[int, Fraction], ideal: Iterable[int], up: bool) -> dict:
     # frozenset() would copy a validated ideal, which is a frozenset subclass
     a = ideal if isinstance(ideal, frozenset) else frozenset(ideal)
-    out = {k: Fraction(c) for k, c in v.items() if c}
+    out = {k: c if isinstance(c, Fraction) else Fraction(c) for k, c in v.items() if c}
     if t == 0:
         return out
     chains = table.chain(delta, up)
-    for src, c in list(v.items()):
-        if not c:
-            continue
+    tn, td = t.as_integer_ratio()
+    # per target, its coefficient plus the terms c * fac * t^k as one integer pair
+    sums: Dict[int, Tuple[int, int]] = {}
+    for src, c in out.items():
         if src not in a:
             raise ValueError(("vector" if up else "covector")
                              + " support must lie inside the ideal")
+        cn, cd = c.as_integer_ratio()
         for tgt, fac, k in chains[src]:
             if tgt not in a:
                 if up:
                     raise AssertionError("ideal is not upward closed under the action")
                 continue
-            out[tgt] = out.get(tgt, Fraction(0)) + c * fac * t ** k
-    return {k: c for k, c in out.items() if c != 0}
+            fn, fd = fac.as_integer_ratio()
+            term_d = cd * fd * td ** k
+            n, d = sums.get(tgt) or out.get(tgt, 0).as_integer_ratio()
+            sums[tgt] = (n * term_d + cn * fn * tn ** k * d, d * term_d)
+    for tgt, (n, d) in sums.items():
+        if n:
+            out[tgt] = Fraction(n, d)
+        else:
+            out.pop(tgt, None)
+    return out
 
 
 def ad_exp_action(table: StructureTable, delta: int, t: Fraction,

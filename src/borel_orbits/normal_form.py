@@ -12,6 +12,12 @@ Over the rationals the final scaling to all-ones coefficients is not
 always possible (it may require extracting roots); the transcript
 reports whether it was.  Inputs lying in the rational orbit of a
 canonical representative always normalise fully.
+
+The arithmetic is exact and fraction-free: torus characters multiply
+integer numerators and denominators, and each output coefficient
+becomes one normalised ``Fraction``, also for int torus parameters.
+The torus solve memoises its Smith normal form per (system, label,
+side) in ``_torus_smith``, as tuples of tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Mapping, Optional, Tuple
 
 from . import orbits
@@ -50,20 +56,31 @@ class ReductionTranscript:
         }
 
 
-def char_value(lam: Tuple[Fraction, ...], coeffs, sign: int = 1) -> Fraction:
-    """Value of the torus character with the given simple coordinates."""
-    val = Fraction(1)
+def _char_ratio(lam, coeffs, sign: int, num: int = 1, den: int = 1) -> Tuple[int, int]:
+    """num/den times the torus character's value, as an integer pair."""
     for l, c in zip(lam, coeffs):
         if c:
-            val *= l ** (sign * c)
-    return val
+            p, q = l.as_integer_ratio()
+            e = sign * c
+            if e > 0:
+                num *= p ** e
+                den *= q ** e
+            else:
+                num *= q ** -e
+                den *= p ** -e
+    return num, den
+
+
+def char_value(lam: Tuple[Fraction, ...], coeffs, sign: int = 1) -> Fraction:
+    """Value of the torus character with the given simple coordinates."""
+    return Fraction(*_char_ratio(lam, coeffs, sign))
 
 
 def _clean_vector(rs: RootSystem, ideal: frozenset, v: Mapping[int, Fraction]) -> dict:
     out = {}
     for k, c in v.items():
-        c = Fraction(c)
-        if c == 0:
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if not c:
             continue
         if k not in ideal:
             raise ValueError(f"support root {rs.root_label(k)} lies outside the ideal")
@@ -71,40 +88,36 @@ def _clean_vector(rs: RootSystem, ideal: frozenset, v: Mapping[int, Fraction]) -
     return out
 
 
+# bounded because callers may reduce any number of labels; the seed-1
+# benchmark corpus uses 1,110 entries, suite item 11 about 250
+@lru_cache(maxsize=1 << 12)
+def _torus_smith(rs: RootSystem, roots: tuple, sign: int) -> tuple:
+    """Smith form (u, diagonal, v) of the sign-scaled exponent rows of the roots."""
+    u, d, v = smith_normal_form([[sign * x for x in rs.positive_roots[g]] for g in roots])
+    diag = tuple(d[j][j] if j < rs.rank else 0 for j in range(len(roots)))
+    return tuple(map(tuple, u)), diag, tuple(map(tuple, v))
+
+
 def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
     """Rational lambda with prod lambda_i^(sign*coeff) = target per root, or None."""
     n = rs.rank
     if not roots:
         return tuple(Fraction(1) for _ in range(n))
-    c = [[sign * x for x in rs.positive_roots[g]] for g in roots]
-    u, d, v = smith_normal_form(c)
-    k = len(roots)
-    s = []
-    for j in range(k):
-        val = Fraction(1)
-        for r in range(k):
-            if u[j][r]:
-                val *= Fraction(targets[r]) ** u[j][r]
-        s.append(val)
-    y = [Fraction(1)] * n
-    for j in range(k):
-        dj = d[j][j] if j < n else 0
+    # u c v = diag(d) turns lambda^c = targets into y_j^d_j = targets^u[j],
+    # and then lambda_i = y^v[i]
+    u, diag, v = _torus_smith(rs, tuple(roots), sign)
+    y = [1] * n
+    for j, (row, dj) in enumerate(zip(u, diag)):
+        s = char_value(targets, row)
         if dj == 0:
-            if s[j] != 1:
+            if s != 1:
                 return None
         else:
-            root = nth_root_fraction(s[j], dj)
+            root = nth_root_fraction(s, dj)
             if root is None:
                 return None
             y[j] = root
-    lam = []
-    for i in range(n):
-        val = Fraction(1)
-        for j in range(n):
-            if v[i][j] and y[j] != 1:
-                val *= y[j] ** v[i][j]
-        lam.append(val)
-    lam = tuple(lam)
+    lam = tuple(char_value(y, row) for row in v)
     for g, tgt in zip(roots, targets):
         if char_value(lam, rs.positive_roots[g], sign) != tgt:
             raise AssertionError("torus solver produced an inconsistent solution")
@@ -112,7 +125,8 @@ def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
 
 
 def _apply_torus(rs: RootSystem, lam, v: dict, sign: int) -> dict:
-    return {k: c * char_value(lam, rs.positive_roots[k], sign) for k, c in v.items()}
+    return {k: Fraction(*_char_ratio(lam, rs.positive_roots[k], sign, *c.as_integer_ratio()))
+            for k, c in v.items()}
 
 
 def _assert_linear_kill(walk, supp, nu: int, delta: int, what: str) -> None:

@@ -1,13 +1,15 @@
 """Derived tables are cached by the functions that own them, never on the RootSystem."""
 
 import copy
+import random
 import sys
 from fractions import Fraction
 
-from borel_orbits import RootSystem, SimpleType, build_root_system, weyl
+from borel_orbits import RootSystem, SimpleType, build_root_system, normal_form, weyl
 from borel_orbits.anr import anr_ideal, anr_statistic, conjecture_check, w0l_action
 from borel_orbits.cli import main
 from borel_orbits.chevalley import build_structure_table
+from borel_orbits.ideals import enumerate_abelian_ideals
 from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal
 from borel_orbits.orbits import (
     kostant_cascade,
@@ -81,3 +83,30 @@ def test_counting_keeps_no_process_wide_memo(capsys):
     capsys.readouterr()
     assert {key: f.cache_info().currsize for key, f in memos.items()} == before
     assert set(vars(rs)) == keys
+
+
+def test_torus_smith_memo_holds_one_tuple_entry_per_label_and_side():
+    memo = normal_form._torus_smith
+    rng = random.Random(4)
+    keys = set()
+    reductions = 0
+    before = memo.cache_info()
+    for typ in ("B3", "G2", "A4"):
+        rs = build_root_system(typ)
+        ideal = max(enumerate_abelian_ideals(rs), key=len)
+        for sign, reduce in ((1, reduce_in_ideal), (-1, reduce_in_dual)):
+            for _ in range(40):
+                reductions += 1
+                support = rng.sample(sorted(ideal), rng.randint(1, len(ideal)))
+                s, _ = reduce(rs, ideal, normal_form.random_vector(rs, support, rng))
+                keys.add((rs, tuple(sorted(s)), sign))
+    after = memo.cache_info()
+    # one Smith form per (system, label, side), never one per reduction
+    assert len(keys) < reductions
+    assert after.misses - before.misses <= len(keys)
+    assert after.currsize - before.currsize <= len(keys)
+    for key in keys:
+        u, diag, v = memo(*key)
+        assert type(diag) is tuple and all(type(x) is int for x in diag)
+        assert all(type(m) is tuple and all(type(row) is tuple for row in m) for m in (u, v))
+    assert memo.cache_info().misses == after.misses

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from borel_orbits.intlin import (
 )
 from borel_orbits.normal_form import (
     apply_b_element,
+    char_value,
     orbit_of_vector,
     random_b_element,
     random_vector,
@@ -219,6 +221,29 @@ def test_normalisation_obstruction_is_reported():
     assert s == eps(rs, "2e1,2e2")
     assert not tr.normalized
     assert replay(rs, ideal, tr, v) == tr.result == v
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_torus_parameters_give_exact_fractions(side):
+    # int parameters with a negative exponent used to give floats
+    sign = 1 if side == "primal" else -1
+    assert char_value((2, 3), (1, 1), -1) == Fraction(1, 6)
+    assert type(char_value((2, 3), (1, 1), -1)) is Fraction
+    for typ in ("A2", "B3"):
+        rs = build_root_system(typ)
+        if typ == "A2":
+            ideal = frozenset([rs.simple_indices[0], rs.theta_index])
+        else:
+            ideal = max(enumerate_abelian_ideals(rs), key=len)
+        v = {g: 1 for g in ideal}
+        for lam in ((2, 3, 5), (Fraction(2), Fraction(-3, 7), 5), (Fraction(-4, 3), 1, 2)):
+            lam = lam[:rs.rank]
+            out = apply_b_element(rs, ideal, [("torus", lam)], v, side=side)
+            assert set(out) == ideal
+            for g, c in out.items():
+                assert type(c) is Fraction
+                assert c == math.prod(Fraction(l) ** (sign * e)
+                                      for l, e in zip(lam, rs.positive_roots[g]))
 
 
 def test_support_outside_ideal_rejected():
