@@ -245,7 +245,7 @@ def _weight_drop(rs: RootSystem, label: Iterable[int]) -> Tuple[int, ...]:
     return tuple(map(sum, zip(*(table[g] for g in label)))) or (0,) * rs.rank ** 2
 
 
-def _bruhat_lower_sets(rs: RootSystem, labels: List[frozenset],
+def _bruhat_lower_sets(rs: RootSystem, labels: List[Tuple[int, ...]],
                        elements: List[weyl.WeylElement], lengths: List[int]) -> List[int]:
     """The Bruhat order on distinct sigma_S, sorted by length, as lower-set masks.
 
@@ -293,67 +293,60 @@ def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> C
         raise ValueError(
             f"the ideal has {count} orbit labels, more than the {MAX_REPORT_LABELS} "
             "that a conjecture report can order")
-    subsets = strongly_orth_subsets(rs, ideal)
+    # label x as masks[x] and labels[x]; enumerated, so strongly orthogonal
+    labels = [tuple(sorted(s)) for s in strongly_orth_subsets(rs, ideal)]
+    masks = [_mask_of(s) for s in labels]
     report = ConjectureReport(type=str(rs.type), ideal=tuple(sorted(ideal)), node=node)
-
-    sigmas: Dict[frozenset, weyl.WeylElement] = {}
-    dims: Dict[frozenset, int] = {}
-    lengths: Dict[frozenset, int] = {}
-    for s in subsets:
-        inv = weyl.sigma_of_orth_set(rs, s)
-        sigmas[s] = inv.element
-        lengths[s] = weyl.length(rs, inv.element)
-        dims[s] = len(s) + (_union(rs.down_shift_masks, _mask_of(s)) & ideal.mask).bit_count()
-        total = lengths[s] + len(s)
+    sigmas = [weyl._sigma_element(rs, s) for s in labels]
+    lengths = [weyl.length(rs, w) for w in sigmas]
+    dims = [m.bit_count() + (_union(rs.down_shift_masks, m) & ideal.mask).bit_count()
+            for m in masks]
+    for s, ell, dim in zip(labels, lengths, dims):
+        total = ell + len(s)
         parity_ok = total % 2 == 0
         formula = Fraction(total, 2)
-        match = parity_ok and dims[s] == formula
+        match = parity_ok and dim == formula
         report.rows.append(OrbitRow(
-            orth_set=tuple(sorted(s)), sigma_length=lengths[s],
-            sigma_abs_length=len(s), dim_actual=dims[s],
+            orth_set=s, sigma_length=ell, sigma_abs_length=len(s), dim_actual=dim,
             formula_value=formula, parity_ok=parity_ok, match=match))
         if not parity_ok:
-            report.parity_violations.append(tuple(sorted(s)))
+            report.parity_violations.append(s)
         if not match:
-            report.formula_violations.append(tuple(sorted(s)))
+            report.formula_violations.append(s)
 
-    # order the distinct involutions under Bruhat
-    by_element: Dict[weyl.WeylElement, list] = {}
-    for s in subsets:
-        by_element.setdefault(sigmas[s], []).append(s)
+    # order the distinct involutions under Bruhat, one rep label each
+    by_element: Dict[weyl.WeylElement, List[int]] = {}
+    for x, w in enumerate(sigmas):
+        by_element.setdefault(w, []).append(x)
     reps = []
-    for labels in by_element.values():
-        labels.sort(key=sorted)
-        reps.append(labels[0])
-        for other in labels[1:]:
-            report.sigma_collisions.append(
-                (tuple(sorted(labels[0])), tuple(sorted(other))))
-    reps.sort(key=lambda s: (lengths[s], sorted(s)))
-    lower = _bruhat_lower_sets(rs, reps, [sigmas[s] for s in reps],
-                               [lengths[s] for s in reps])
+    for xs in by_element.values():
+        xs.sort(key=labels.__getitem__)
+        reps.append(xs[0])
+        report.sigma_collisions.extend((labels[xs[0]], labels[x]) for x in xs[1:])
+    reps.sort(key=lambda x: (lengths[x], labels[x]))
+    lower = _bruhat_lower_sets(rs, [labels[x] for x in reps], [sigmas[x] for x in reps],
+                               [lengths[x] for x in reps])
 
     # dimension monotonicity along strict Bruhat relations: for label y of
     # rep j, only the reps below j holding a label of dimension >= dim y
     # can violate it, and a mask of those per dimension finds them
-    rep_index = {sigmas[s]: k for k, s in enumerate(reps)}
-    rep_of = [rep_index[sigmas[s]] for s in subsets]
-    dim_of = [dims[s] for s in subsets]
+    rep_index = {sigmas[x]: k for k, x in enumerate(reps)}
+    rep_of = [rep_index[w] for w in sigmas]
     labels_of: List[List[int]] = [[] for _ in reps]
     for x, i in enumerate(rep_of):
         labels_of[i].append(x)
-    at_least = [0] * (max(dim_of) + 2)
+    at_least = [0] * (max(dims) + 2)
     for i, xs in enumerate(labels_of):
-        at_least[max(dim_of[x] for x in xs)] |= 1 << i
+        at_least[max(dims[x] for x in xs)] |= 1 << i
     for d in reversed(range(len(at_least) - 1)):
         at_least[d] |= at_least[d + 1]
     pairs = []
     for y, j in enumerate(rep_of):
-        for i in _bits(lower[j] & at_least[dim_of[y]] & ~(1 << j)):
-            pairs.extend((x, y) for x in labels_of[i] if dim_of[x] >= dim_of[y])
+        for i in _bits(lower[j] & at_least[dims[y]] & ~(1 << j)):
+            pairs.extend((x, y) for x in labels_of[i] if dims[x] >= dims[y])
     # in the order of the lower label, then the upper one
     pairs.sort()
-    report.monotonicity_violations = [
-        (tuple(sorted(subsets[x])), tuple(sorted(subsets[y]))) for x, y in pairs]
+    report.monotonicity_violations = [(labels[x], labels[y]) for x, y in pairs]
 
     # covers in the induced subposet, and their dimension gaps: walking a
     # strict lower set from the longest rep down, each rep left is a cover,
@@ -367,22 +360,21 @@ def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> C
             strict &= ~lower[i]
     covers.sort()
     for i, j in covers:
-        si, sj = reps[i], reps[j]
-        report.covers.append((tuple(sorted(si)), tuple(sorted(sj))))
-        gap = dims[sj] - dims[si]
+        x, y = reps[i], reps[j]
+        report.covers.append((labels[x], labels[y]))
+        gap = dims[y] - dims[x]
         if gap != 1:
-            report.cover_gap_violations.append(
-                (tuple(sorted(si)), tuple(sorted(sj)), gap))
-        if (lengths[sj] + len(sj)) - (lengths[si] + len(si)) != 2:
+            report.cover_gap_violations.append((labels[x], labels[y], gap))
+        if (lengths[y] + len(labels[y])) - (lengths[x] + len(labels[x])) != 2:
             report.rank_graded = False
 
     # removing one root must go down in Bruhat order
-    for s in subsets:
-        for g in s:
-            smaller = s - {g}
-            if not lower[rep_index[sigmas[s]]] >> rep_index[sigmas[smaller]] & 1:
-                report.subset_violations.append(
-                    (tuple(sorted(smaller)), tuple(sorted(s))))
+    index = {m: x for x, m in enumerate(masks)}
+    for y, m in enumerate(masks):
+        for g in labels[y]:
+            x = index[m ^ 1 << g]
+            if not lower[rep_of[y]] >> rep_of[x] & 1:
+                report.subset_violations.append((labels[x], labels[y]))
     return report
 
 

@@ -25,6 +25,7 @@ from .ideals import (
     maximal_abelian_ideals,
 )
 from .root_system import (
+    _bits,
     build_root_system,
     node_from_bourbaki,
     node_to_bourbaki,
@@ -113,6 +114,11 @@ def _ideal_spec_options(p):
     p.add_argument("--anr", type=int, help="abelian-nilradical node (1-based)")
 
 
+def _print_json(data) -> int:
+    print(json.dumps(data, indent=2, sort_keys=True))
+    return 0
+
+
 def _labels(rs, roots):
     return ",".join(rs.sorted_labels(roots))
 
@@ -145,8 +151,7 @@ def _cmd_roots(args) -> int:
             "theta": rs.root_json(rs.theta_index),
             "positive_roots": [rs.root_json(i) for i in range(rs.num_positive)],
         }
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
+        return _print_json(data)
     print(f"{rs.type}: {rs.num_positive} positive roots, "
           f"theta = {rs.root_label(rs.theta_index)}")
     for i in range(rs.num_positive):
@@ -172,10 +177,8 @@ def _cmd_ideals(args) -> int:
         items = [(f"abelian {k}", a)
                  for k, a in enumerate(enumerate_abelian_ideals(rs))]
     if args.json:
-        print(json.dumps(
-            [{"name": name, "size": len(a), "roots": rs.sorted_labels(a)}
-             for name, a in items], indent=2, sort_keys=True))
-        return 0
+        return _print_json([{"name": name, "size": len(a), "roots": rs.sorted_labels(a)}
+                            for name, a in items])
     for name, a in items:
         print(f"{name}: dim {len(a)}: {_labels(rs, a)}")
     return 0
@@ -187,24 +190,27 @@ def _cmd_orbits(args) -> int:
     if args.count:
         print(sum(orbits.label_counts(rs, ideal)))
         return 0
-    subsets = orbits.strongly_orth_subsets(rs, ideal)
-    records = [orbits.orbit_record(rs, ideal, s) for s in subsets]
     if args.json:
-        print(json.dumps([r.to_json(rs) for r in records], indent=2, sort_keys=True))
-        return 0
-    if args.csv:
-        print("orth_set,size,dim_in_a,dim_in_a_star,dual")
-        for r in records:
-            print(f"\"{_labels(rs, r.orth_set)}\",{len(r.orth_set)},"
-                  f"{r.dim_in_a},{r.dim_in_a_star},\"{_labels(rs, r.dual)}\"")
-        return 0
-    print(f"{rs.type}, ideal of dim {len(ideal)}: {len(subsets)} orbits")
-    for r in records:
-        line = f"  {{{_labels(rs, r.orth_set)}}}"
+        return _print_json([orbits.orbit_record(rs, ideal, s).to_json(rs)
+                            for s in orbits.strongly_orth_subsets(rs, ideal)])
+    # table rows stay masks and compute only what they print (see orbits)
+    labels = orbits._label_masks(rs, ideal)
+    print("orth_set,size,dim_in_a,dim_in_a_star,dual" if args.csv
+          else f"{rs.type}, ideal of dim {len(ideal)}: {len(labels)} orbits")
+    for ss in labels:
+        k = ss.bit_count()
+        if args.csv or args.dims or args.dual:
+            m_up, m_down, _, dual = orbits._orbit_masks(rs, ideal.mask, ss)
+            dim_a, dim_star = k + m_up.bit_count(), k + m_down.bit_count()
+        if args.csv:
+            print(f"\"{_labels(rs, _bits(ss))}\",{k},{dim_a},{dim_star},"
+                  f"\"{_labels(rs, _bits(dual))}\"")
+            continue
+        line = f"  {{{_labels(rs, _bits(ss))}}}"
         if args.dims:
-            line += f"  dim {r.dim_in_a}, dual dim {r.dim_in_a_star}"
+            line += f"  dim {dim_a}, dual dim {dim_star}"
         if args.dual:
-            line += f"  dual {{{_labels(rs, r.dual)}}}"
+            line += f"  dual {{{_labels(rs, _bits(dual))}}}"
         print(line)
     return 0
 
@@ -213,13 +219,12 @@ def _cmd_cascade(args) -> int:
     rs = build_root_system(args.type)
     cascade = orbits.kostant_cascade(rs)
     if args.json:
-        print(json.dumps({
+        return _print_json({
             "type": str(rs.type),
             "cascade": rs.sorted_labels(cascade),
             "size": len(cascade),
             "borel_index": orbits.borel_index(rs),
-        }, indent=2, sort_keys=True))
-        return 0
+        })
     print(f"{rs.type} cascade ({len(cascade)} roots, Borel index "
           f"{orbits.borel_index(rs)}): {_labels(rs, cascade)}")
     return 0
@@ -232,9 +237,7 @@ def _cmd_dual(args) -> int:
     if not s <= ideal:
         raise ValueError("--set must lie inside the chosen ideal")
     if args.json:
-        record = orbits.orbit_record(rs, ideal, s)
-        print(json.dumps(record.to_json(rs), indent=2, sort_keys=True))
-        return 0
+        return _print_json(orbits.orbit_record(rs, ideal, s).to_json(rs))
     print(_labels(rs, orbits.pyasetskii_dual(rs, ideal, s)))
     return 0
 
@@ -252,8 +255,7 @@ def _cmd_normal_form(args) -> int:
                 "normalized": transcript.normalized}
         if args.transcript:
             data["transcript"] = transcript.to_json(rs)
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
+        return _print_json(data)
     print(f"S = {{{_labels(rs, s)}}}  (normalized: {transcript.normalized})")
     if args.transcript:
         for d, t in transcript.steps:
@@ -267,8 +269,7 @@ def _cmd_structure_table(args) -> int:
     rs = build_root_system(args.type)
     table = build_structure_table(rs)
     if args.json:
-        print(json.dumps(table.to_json(), indent=2, sort_keys=True))
-        return 0
+        return _print_json(table.to_json())
     for entry in table.to_json():
         print(f"N[{entry['a']}, {entry['b']}] = {entry['n']}")
     return 0
@@ -284,9 +285,8 @@ def _cmd_count_anr(args) -> int:
             raise ValueError(f"{rs.type} has no abelian nilradicals")
     tables = [anr.anr_statistic(rs, node) for node in nodes]
     if args.json:
-        rows = [dict(t.to_json(), node=_node_out(rs, args, t.node)) for t in tables]
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        return 0
+        return _print_json([dict(t.to_json(), node=_node_out(rs, args, t.node))
+                            for t in tables])
     if args.csv:
         print("type,node,k,count")
         for t in tables:
@@ -328,7 +328,7 @@ def _cmd_conjecture_check(args) -> int:
         data = rep.to_json(rs)
         if rep.node is not None:
             data["node"] = _node_out(rs, args, rep.node)
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print_json(data)
     else:
         _report_human(rs, args, rep)
     return 0

@@ -56,11 +56,10 @@ class ReductionTranscript:
         }
 
 
-def _char_ratio(lam, coeffs, sign: int, num: int = 1, den: int = 1) -> Tuple[int, int]:
-    """num/den times the torus character's value, as an integer pair."""
-    for l, c in zip(lam, coeffs):
+def _char_ratio(pairs, coeffs, sign: int, num: int = 1, den: int = 1) -> Tuple[int, int]:
+    """num/den times the torus character's value at pairs (p, q) = p/q, as an integer pair."""
+    for (p, q), c in zip(pairs, coeffs):
         if c:
-            p, q = l.as_integer_ratio()
             e = sign * c
             if e > 0:
                 num *= p ** e
@@ -73,7 +72,7 @@ def _char_ratio(lam, coeffs, sign: int, num: int = 1, den: int = 1) -> Tuple[int
 
 def char_value(lam: Tuple[Fraction, ...], coeffs, sign: int = 1) -> Fraction:
     """Value of the torus character with the given simple coordinates."""
-    return Fraction(*_char_ratio(lam, coeffs, sign))
+    return Fraction(*_char_ratio([l.as_integer_ratio() for l in lam], coeffs, sign))
 
 
 def _clean_vector(rs: RootSystem, ideal: frozenset, v: Mapping[int, Fraction]) -> dict:
@@ -99,33 +98,38 @@ def _torus_smith(rs: RootSystem, roots: tuple, sign: int) -> tuple:
 
 
 def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
-    """Rational lambda with prod lambda_i^(sign*coeff) = target per root, or None."""
+    """Rational lambda with prod lambda_i^(sign*coeff) = p/q per root, target (p, q); or None."""
     n = rs.rank
     if not roots:
         return tuple(Fraction(1) for _ in range(n))
     # u c v = diag(d) turns lambda^c = targets into y_j^d_j = targets^u[j],
     # and then lambda_i = y^v[i]
     u, diag, v = _torus_smith(rs, tuple(roots), sign)
-    y = [1] * n
+    y = [(1, 1)] * n
     for j, (row, dj) in enumerate(zip(u, diag)):
-        s = char_value(targets, row)
-        if dj == 0:
-            if s != 1:
-                return None
-        else:
-            root = nth_root_fraction(s, dj)
+        num, den = _char_ratio(targets, row, 1)
+        # for d_j = 1 the root is s_j itself
+        if dj > 1:
+            root = nth_root_fraction(Fraction(num, den), dj)
             if root is None:
                 return None
-            y[j] = root
-    lam = tuple(char_value(y, row) for row in v)
-    for g, tgt in zip(roots, targets):
-        if char_value(lam, rs.positive_roots[g], sign) != tgt:
+            num, den = root.as_integer_ratio()
+        if dj:
+            y[j] = num, den
+        elif num != den:
+            return None
+    lam = tuple(Fraction(*_char_ratio(y, row, 1)) for row in v)
+    pairs = [x.as_integer_ratio() for x in lam]
+    for g, (p, q) in zip(roots, targets):
+        num, den = _char_ratio(pairs, rs.positive_roots[g], sign)
+        if num * q != den * p:
             raise AssertionError("torus solver produced an inconsistent solution")
     return lam
 
 
 def _apply_torus(rs: RootSystem, lam, v: dict, sign: int) -> dict:
-    return {k: Fraction(*_char_ratio(lam, rs.positive_roots[k], sign, *c.as_integer_ratio()))
+    pairs = [l.as_integer_ratio() for l in lam]
+    return {k: Fraction(*_char_ratio(pairs, rs.positive_roots[k], sign, *c.as_integer_ratio()))
             for k, c in v.items()}
 
 
@@ -210,7 +214,8 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
     if _mask_of(vec) != s:
         raise AssertionError(f"{what}reduction finished with support different from S")
     order = _bits(s)
-    lam = _solve_scalings(rs, order, [1 / vec[g] for g in order], sign)
+    # the target 1 / vec[g] as the integer pair of vec[g], swapped
+    lam = _solve_scalings(rs, order, [vec[g].as_integer_ratio()[::-1] for g in order], sign)
     normalized = lam is not None
     if normalized:
         vec = _apply_torus(rs, lam, vec, sign)

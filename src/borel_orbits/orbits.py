@@ -13,6 +13,10 @@ per-root bitmasks.  The lower and upper canonical sets, Kostant's
 cascade and the combinatorial Pyasetskii dual are all instances of one
 min/max layer-peeling scheme.
 
+One core, _orbit_masks, gives M_S, M*_S, J_S and the dual as masks.  An
+orbit-table row (``orbits --csv``, text) uses it for only what it prints;
+OrbitRecords, with sigma_S, serve ``orbits --json`` and the library API.
+
 The labels are counted by size without being built (label_counts),
 with a memo of at most MAX_COUNT_STATES masks; enumerating them
 (strongly_orth_subsets) is for callers that need the labels themselves,
@@ -95,7 +99,11 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
     Ordered by (size, root indices).  Raises ValueError, before building
     any subset, when there would be more than MAX_LABELS of them.
     """
-    a = check_abelian_ideal(rs, ideal)
+    return [_set_of(m) for m in _label_masks(rs, check_abelian_ideal(rs, ideal))]
+
+
+def _label_masks(rs: RootSystem, a: AbelianIdeal) -> List[int]:
+    # strongly_orth_subsets of a validated ideal, as masks
     counts = _count_labels(rs, a)
     total = sum(counts)
     if total > MAX_LABELS:
@@ -104,16 +112,18 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
             "that can be listed; count them instead")
     masks = rs.orth_masks
     # depth first over sorted roots emits each size in lexicographic order
-    by_size: List[List[frozenset]] = [[] for _ in counts]
+    by_size: List[List[int]] = [[] for _ in counts]
 
-    def rec(chosen: tuple, allowed: int):
-        by_size[len(chosen)].append(frozenset(chosen))
-        for i in _bits(allowed):
-            # the roots after i that are strongly orthogonal to it
-            rec(chosen + (i,), allowed & masks[i] & ~((1 << i) - 1))
+    def rec(chosen: int, size: int, allowed: int):
+        by_size[size].append(chosen)
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            # what is left of allowed lies after the root of low
+            rec(chosen | low, size + 1, allowed & masks[low.bit_length() - 1])
 
-    rec((), a.mask)
-    return [s for bucket in by_size for s in bucket]
+    rec(0, 0, a.mask)
+    return [m for bucket in by_size for m in bucket]
 
 
 def shift_up(rs: RootSystem, s: Iterable[int]) -> frozenset:
@@ -126,21 +136,28 @@ def shift_down(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozen
     return _set_of(_union(rs.down_shift_masks, _mask_of(s)) & _mask_of(ideal))
 
 
-def _label(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[AbelianIdeal, int]:
-    """The validated ideal and the mask of S, checked to be one of its orbit labels."""
+def _label(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, ...]:
+    """S, M_S, M*_S, J_S and the dual as masks, once S is checked to be an orbit label."""
     a = check_abelian_ideal(rs, ideal)
     mask = _mask_of(s)
     if mask & ~a.mask:
         raise ValueError("orbit label must lie inside the ideal")
     _check_orth_set(rs, _bits(mask))
-    return a, mask
+    return (mask,) + _orbit_masks(rs, a.mask, mask)
+
+
+def _orbit_masks(rs: RootSystem, a: int, ss: int) -> Tuple[int, int, int, int]:
+    """M_S, M*_S, J_S and the dual of a strongly orthogonal ss inside the ideal a."""
+    m_up = _union(rs.up_shift_masks, ss)
+    j = a & ~(ss | m_up)
+    # J_S lies inside the abelian ideal, so its max-layer peel is its dual label
+    return m_up, _union(rs.down_shift_masks, ss) & a, j, _peel(rs, j, up=False)
 
 
 def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, int]:
     """(dimension in the ideal, dimension in its dual) of the orbit of S."""
-    a, ss = _label(rs, ideal, s)
-    return (ss.bit_count() + _union(rs.up_shift_masks, ss).bit_count(),
-            ss.bit_count() + (_union(rs.down_shift_masks, ss) & a.mask).bit_count())
+    ss, m_up, m_down, _, _ = _label(rs, ideal, s)
+    return ss.bit_count() + m_up.bit_count(), ss.bit_count() + m_down.bit_count()
 
 
 def _peel(rs: RootSystem, carrier: int, up: bool) -> int:
@@ -188,27 +205,20 @@ def kostant_cascade(rs: RootSystem) -> frozenset:
     return frozenset(result)
 
 
-def _residual(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> int:
-    # the mask of J_S, once S is checked to be an orbit label of the ideal
-    a, ss = _label(rs, ideal, s)
-    return a.mask & ~(ss | _union(rs.up_shift_masks, ss))
-
-
 def pyasetskii_dual(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """The dual-orbit label: upper-canonical set of J_S."""
-    # J_S lies inside the abelian ideal that _residual validates
-    return _set_of(_peel(rs, _residual(rs, ideal, s), up=False))
+    return _set_of(_label(rs, ideal, s)[4])
 
 
 def residual_set(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozenset:
     """J_S = ideal minus (S and M_S)."""
-    return _set_of(_residual(rs, ideal, s))
+    return _set_of(_label(rs, ideal, s)[3])
 
 
 def pyasetskii_map(rs: RootSystem, ideal: Iterable[int]) -> Dict[frozenset, frozenset]:
     """The full duality table S -> S_dual over all of the ideal's subsets."""
     a = check_abelian_ideal(rs, ideal)
-    return {s: pyasetskii_dual(rs, a, s) for s in strongly_orth_subsets(rs, a)}
+    return {_set_of(ss): _set_of(_orbit_masks(rs, a.mask, ss)[3]) for ss in _label_masks(rs, a)}
 
 
 def pyasetskii_report(rs: RootSystem, ideal: Iterable[int]) -> dict:
@@ -275,26 +285,14 @@ class OrbitRecord:
     sigma_abs_length: int
 
     def to_json(self, rs: RootSystem) -> dict:
-        return {
-            "orth_set": rs.sorted_labels(self.orth_set),
-            "dim_in_a": self.dim_in_a,
-            "dim_in_a_star": self.dim_in_a_star,
-            "m_up": rs.sorted_labels(self.m_up),
-            "m_down": rs.sorted_labels(self.m_down),
-            "j_set": rs.sorted_labels(self.j_set),
-            "dual": rs.sorted_labels(self.dual),
-            "sigma_length": self.sigma_length,
-            "sigma_abs_length": self.sigma_abs_length,
-        }
+        # the root-set fields as sorted labels, the counts as they are
+        return {k: rs.sorted_labels(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items()}
 
 
 def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> OrbitRecord:
-    a, ss = _label(rs, ideal, s)
-    m_up = _union(rs.up_shift_masks, ss)
-    m_down = _union(rs.down_shift_masks, ss) & a.mask
-    j = a.mask & ~(ss | m_up)
+    ss, m_up, m_down, j, dual = _label(rs, ideal, s)
     label = _bits(ss)
-    sigma = weyl.sigma_of_orth_set(rs, label)
     return OrbitRecord(
         orth_set=label,
         dim_in_a=len(label) + m_up.bit_count(),
@@ -302,7 +300,7 @@ def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Orbi
         m_up=_bits(m_up),
         m_down=_bits(m_down),
         j_set=_bits(j),
-        dual=_bits(_peel(rs, j, up=False)),
-        sigma_length=weyl.length(rs, sigma.element),
+        dual=_bits(dual),
+        sigma_length=weyl.length(rs, weyl._sigma_element(rs, label)),
         sigma_abs_length=len(label),
     )

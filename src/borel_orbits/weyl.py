@@ -144,9 +144,14 @@ def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
     """Product of the commuting reflections over a strongly orthogonal set."""
     s = frozenset(orth_set)
     _check_orth_set(rs, s)
+    return Involution(element=_sigma_element(rs, s), orth_set=s)
+
+
+def _sigma_element(rs: RootSystem, orth_set: Iterable[int]) -> WeylElement:
+    """sigma_S of a set the caller has already checked to be strongly orthogonal."""
     rows = _reflection_table(rs).rows
     # s_{g1} ... s_{gk} in index order acts on a root from the right
-    factors = [rows[g] for g in sorted(s, reverse=True)]
+    factors = [rows[g] for g in sorted(orth_set, reverse=True)]
 
     def apply(k):
         for row in factors:
@@ -156,7 +161,7 @@ def sigma_of_orth_set(rs: RootSystem, orth_set: Iterable[int]) -> Involution:
     images = tuple(apply(k) for k in rs.simple_indices)
     if tuple(apply(k) for k in images) != rs.simple_indices:
         raise AssertionError("product of commuting reflections must be an involution")
-    return Involution(element=WeylElement(rs, images), orth_set=s)
+    return WeylElement(rs, images)
 
 
 def length(rs: RootSystem, w: WeylElement) -> int:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from borel_orbits import anr, build_root_system, orbits
+from borel_orbits import anr, build_root_system, orbits, suite, weyl
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import check_abelian_ideal
 
@@ -314,6 +314,71 @@ def test_conjecture_report_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, "conjecture-check", *argv, "--json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("C8", "--anr", "8", "--csv"),
+     "c79f37737f9478f288c8343d9c464d71d6b18e2949947b497890bb6e3d879727"),
+    (("E7", "--anr", "7", "--dims", "--dual"),
+     "5527097a9b9fbfa7dbce8a78fdf342a31a0d4f2bdf34fa648ea2b0fb513efaa1"),
+], ids=["C8-csv", "E7-text"])
+def test_orbit_table_bytes_are_pinned(capsys, argv, digest):
+    # the tables as full orbit records printed them
+    code, out, err = run_cli(capsys, "orbits", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _table_from_records(rs, ideal):
+    """The --csv and --dims --dual lines rendered from full orbit records."""
+    def show(roots):
+        return ",".join(rs.sorted_labels(roots))
+
+    records = [orbits.orbit_record(rs, ideal, s)
+               for s in orbits.strongly_orth_subsets(rs, ideal)]
+    csv = ["orth_set,size,dim_in_a,dim_in_a_star,dual"] + [
+        f'"{show(r.orth_set)}",{len(r.orth_set)},{r.dim_in_a},{r.dim_in_a_star},'
+        f'"{show(r.dual)}"' for r in records]
+    text = [f"{rs.type}, ideal of dim {len(ideal)}: {len(records)} orbits"] + [
+        f"  {{{show(r.orth_set)}}}  dim {r.dim_in_a}, dual dim {r.dim_in_a_star}"
+        f"  dual {{{show(r.dual)}}}" for r in records]
+    return csv, text
+
+
+def _nilradicals():
+    # every abelian nilradical of rank <= 6 (E6 at nodes 1 and 6), and E7 node 7
+    for typ in suite.all_types(6):
+        rs = build_root_system(typ)
+        for node in anr.anr_nodes(rs):
+            yield typ, node + 1
+    yield "E7", 7
+
+
+@pytest.mark.parametrize("typ,node", list(_nilradicals()))
+def test_orbit_table_lines_match_orbit_records(capsys, typ, node):
+    rs = build_root_system(typ)
+    csv, text = _table_from_records(rs, anr.anr_ideal(rs, node - 1))
+    code, out, err = run_cli(capsys, "orbits", typ, "--anr", str(node), "--csv")
+    assert code == 0 and err == "" and out.splitlines() == csv
+    code, out, err = run_cli(capsys, "orbits", typ, "--anr", str(node), "--dims", "--dual")
+    assert code == 0 and err == "" and out.splitlines() == text
+
+
+def test_orbit_table_makes_no_weyl_call(capsys, monkeypatch):
+    rs = build_root_system("C5")
+    csv, text = _table_from_records(rs, anr.anr_ideal(rs, 4))
+
+    def refuse(*args):
+        raise AssertionError("the orbit table called into the Weyl group")
+
+    for name in ("sigma_of_orth_set", "_sigma_element", "length"):
+        monkeypatch.setattr(weyl, name, refuse)
+    code, out, err = run_cli(capsys, "orbits", "C5", "--anr", "5", "--csv")
+    assert code == 0 and err == "" and out.splitlines() == csv
+    code, out, err = run_cli(capsys, "orbits", "C5", "--anr", "5", "--dims", "--dual")
+    assert code == 0 and err == "" and out.splitlines() == text
+    with pytest.raises(AssertionError, match="Weyl group"):
+        orbits.orbit_record(rs, anr.anr_ideal(rs, 4), ())
 
 
 # sha256 of `roots T` and `structure-table T --json` for every type of rank

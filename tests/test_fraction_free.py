@@ -177,7 +177,7 @@ def test_exp_action_matches_fraction_reference(case):
 @given(_solve_case())
 def test_torus_solve_matches_fraction_reference(case):
     rs, roots, targets, sign = case
-    got = _solve_scalings(rs, roots, targets, sign)
+    got = _solve_scalings(rs, roots, [Fraction(x).as_integer_ratio() for x in targets], sign)
     assert got == _ref_solve_scalings(rs, roots, targets, sign)
     if got is not None:
         assert all(type(x) is Fraction for x in got)
@@ -223,5 +223,5 @@ def test_torus_solve_without_rational_solution_matches_reference():
     rs = build_root_system("C2")
     roots = [rs.parse_root("2e1"), rs.parse_root("2e2")]
     for sign in (1, -1):
-        assert _solve_scalings(rs, roots, [1, 2], sign) is None
+        assert _solve_scalings(rs, roots, [(1, 1), (2, 1)], sign) is None
         assert _ref_solve_scalings(rs, roots, [1, 2], sign) is None

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_orbits import build_root_system, is_root, min_elements, orbits
+from borel_orbits import build_root_system, is_root, min_elements, orbits, root_system
 from borel_orbits.ideals import (
     abelian_nilradicals,
     enumerate_abelian_ideals,
@@ -293,6 +293,18 @@ def test_orbit_record_fields(a5, shape331):
     assert rec.sigma_abs_length == 2
     data = rec.to_json(a5)
     assert data["dual"] == ["e2-e5", "e3-e6"]
+
+
+def test_orbit_record_checks_its_label_once(a5, shape331, monkeypatch):
+    # sigma_S is built from the label that _label has already checked
+    calls = []
+    real = root_system.non_orthogonal_pair
+    monkeypatch.setattr(root_system, "non_orthogonal_pair",
+                        lambda rs, roots: calls.append(1) or real(rs, roots))
+    orbit_record(a5, shape331, eps(a5, "e1-e4,e2-e6"))
+    assert len(calls) == 1
+    orbits.weyl.sigma_of_orth_set(a5, eps(a5, "e1-e4,e2-e6"))
+    assert len(calls) == 2
 
 
 def test_pyasetskii_map_full_table(a5, shape331):
