@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
-from .ideals import AbelianIdeal, abelian_nilradicals, check_abelian_ideal, maximal_abelian_ideals
+from .ideals import AbelianIdeal, _is_maximal, abelian_nilradicals, check_abelian_ideal
 from .orbits import label_counts, strongly_orth_subsets
 from .root_system import RootSystem, _bits, _mask_of, _union
 
@@ -394,7 +394,7 @@ def maximal_ideal_report(rs: RootSystem, ideal: Iterable[int]) -> ConjectureRepo
         a = check_abelian_ideal(rs, ideal)
     except ValueError:
         raise ValueError("input is not an abelian ideal") from None
-    if a not in maximal_abelian_ideals(rs):
+    if not _is_maximal(rs, a.mask):
         raise ValueError("input is not a maximal abelian ideal")
     if any(a == nr for _, nr in abelian_nilradicals(rs)):
         raise ValueError("input is an abelian nilradical; use conjecture_check")

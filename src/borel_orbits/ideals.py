@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .root_system import RootSystem, _mask_of, _set_of, _union
+from .root_system import RootSystem, _bits, _layer, _mask_of, _set_of, _union
 
 
 def is_ideal(rs: RootSystem, roots: Iterable[int]) -> bool:
@@ -89,10 +89,20 @@ def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
 
 
 def maximal_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
-    """Abelian ideals not properly contained in another abelian ideal."""
-    all_ideals = enumerate_abelian_ideals(rs)
-    return [a for a in all_ideals
-            if not any(a < b for b in all_ideals)]
+    """Abelian ideals not properly contained in another abelian ideal.
+
+    Maximality is tested on each ideal alone (:func:`_is_maximal`): if a
+    lies properly inside an abelian ideal b, any maximal root of b minus a
+    could join a as an ideal and has no sum partner in a.
+    """
+    return [a for a in enumerate_abelian_ideals(rs) if _is_maximal(rs, a.mask)]
+
+
+def _is_maximal(rs: RootSystem, a: int) -> bool:
+    # the maximal roots outside the abelian ideal a are those that could join
+    # it as an ideal; one without a sum partner in a would keep it abelian
+    joinable = _layer(rs.up_masks, ((1 << rs.num_positive) - 1) & ~a)
+    return all(rs.sum_masks[i] & a for i in _bits(joinable))
 
 
 def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, AbelianIdeal]]:

@@ -25,15 +25,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Tuple
 
 from . import orbits
 from .chevalley import StructureTable, ad_exp_action, build_structure_table, coad_exp_action
 from .ideals import check_abelian_ideal
 from .intlin import nth_root_fraction, smith_normal_form
-from .root_system import (RootSystem, _bits, _mask_of, _max_layer, _min_layer, _set_of, _union,
-                          non_orthogonal_pair)
+from .root_system import RootSystem, _bits, _layer, _mask_of, _set_of, _union, non_orthogonal_pair
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,25 @@ def char_value(lam: Tuple[Fraction, ...], coeffs, sign: int = 1) -> Fraction:
     return Fraction(*_char_ratio([l.as_integer_ratio() for l in lam], coeffs, sign))
 
 
-def _clean_vector(rs: RootSystem, ideal: frozenset, v: Mapping[int, Fraction]) -> dict:
-    out = {}
+def _inputs(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
+            table: Optional[StructureTable], side: str):
+    """The validated ideal, the structure table and the nonzero entries of v as Fractions."""
+    if side not in ("primal", "dual"):
+        raise ValueError("side must be 'primal' or 'dual'")
+    a = check_abelian_ideal(rs, ideal)
+    if table is None:
+        table = build_structure_table(rs)
+    elif table.rs is not rs:
+        raise ValueError(f"the structure table is for {table.rs.type}, not for {rs.type}")
+    vec = {}
     for k, c in v.items():
         c = c if isinstance(c, Fraction) else Fraction(c)
         if not c:
             continue
-        if k not in ideal:
+        if k not in a:
             raise ValueError(f"support root {rs.root_label(k)} lies outside the ideal")
-        out[k] = c
-    return out
+        vec[k] = c
+    return a, table, vec
 
 
 # bounded because callers may reduce any number of labels; the seed-1
@@ -145,35 +153,25 @@ def _assert_linear_kill(walk, supp, nu: int, delta: int, what: str) -> None:
         k += 1
 
 
-@cache
-def _down_masks(rs: RootSystem) -> tuple:
-    """down_masks[i] has bit j set iff root_j <= root_i: up_masks transposed."""
-    return tuple(_mask_of(j for j, up in enumerate(rs.up_masks) if up >> i & 1)
-                 for i in range(rs.num_positive))
-
-
 def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             table: Optional[StructureTable], side: str):
-    a = check_abelian_ideal(rs, ideal)
-    if table is None:
-        table = build_structure_table(rs)
-    vec = _clean_vector(rs, a, v)
+    a, table, vec = _inputs(rs, ideal, v, table, side)
     # the side fixes the peeling (min or max), the shift and the hull a kill
     # must shrink (up or down), the walk along delta (down or up), the
     # action (ad or coad) and the sign of the torus character
     primal = side == "primal"
     if primal:
-        sign, layer_of, shifts, hulls = 1, _min_layer, rs.up_shift_masks, rs.up_masks
+        sign, rows, shifts, hulls = 1, rs.down_masks, rs.up_shift_masks, rs.up_masks
         walk, action = rs.diff_index, ad_exp_action
     else:
-        sign, layer_of, shifts, hulls = -1, _max_layer, rs.down_shift_masks, _down_masks(rs)
+        sign, rows, shifts, hulls = -1, rs.up_masks, rs.down_shift_masks, rs.down_masks
         walk, action = rs.sum_index, coad_exp_action
     what = "" if primal else "dual "
     steps = []
     acc: list = []  # S in the order its layers were peeled
     s = 0
     while True:
-        layer = layer_of(rs, _mask_of(vec) & ~s)
+        layer = _layer(rows, _mask_of(vec) & ~s)
         if not layer:
             break
         acc.extend(_bits(layer))
@@ -189,7 +187,7 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             targets = shifted & _mask_of(vec)
             if not targets:
                 break
-            nu = _bits(layer_of(rs, targets))[0]
+            nu = _bits(_layer(rows, targets))[0]
             # nu = gamma + delta (primal) or gamma - delta (dual), gamma in S
             for gamma in acc:
                 delta = rs.diff_index[nu][gamma] if primal else rs.diff_index[gamma][nu]
@@ -239,11 +237,8 @@ def reduce_in_dual(rs: RootSystem, ideal: Iterable[int], xi: Mapping[int, Fracti
 def _trajectory(rs: RootSystem, ideal: Iterable[int], ops, v: Mapping[int, Fraction],
                 side: str, table: Optional[StructureTable]) -> list:
     """The vector before and after each ("unipotent", delta, t) or ("torus", lam) op."""
-    a = check_abelian_ideal(rs, ideal)
-    if table is None:
-        table = build_structure_table(rs)
+    a, table, vec = _inputs(rs, ideal, v, table, side)
     sign, action = (1, ad_exp_action) if side == "primal" else (-1, coad_exp_action)
-    vec = _clean_vector(rs, a, v)
     out = [vec]
     for op in ops:
         if op[0] == "torus":
@@ -272,8 +267,6 @@ def replay_supports(rs: RootSystem, ideal: Iterable[int], transcript: ReductionT
 def orbit_of_vector(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
                     side: str = "primal") -> orbits.OrbitRecord:
     """Reduce a (co)vector and return the orbit record of its label."""
-    if side not in ("primal", "dual"):
-        raise ValueError("side must be 'primal' or 'dual'")
     s, _ = _reduce(rs, ideal, v, None, side)
     return orbits.orbit_record(rs, ideal, s)
 

@@ -10,8 +10,9 @@ derived sets are
 
 with orbit dimensions #S + #M_S and #S + #M*_S.  The shifts are ORs of
 per-root bitmasks.  The lower and upper canonical sets, Kostant's
-cascade and the combinatorial Pyasetskii dual are all instances of one
-min/max layer-peeling scheme.
+cascade and the combinatorial Pyasetskii dual are all one layer peeling
+(_peel): root_system._layer keeps the minimal roots with the rows
+``down_masks`` and the maximal roots with ``up_masks``.
 
 One core, _orbit_masks, gives M_S, M*_S, J_S and the dual as masks.  An
 orbit-table row (``orbits --csv``, text) uses it for only what it prints;
@@ -31,8 +32,8 @@ from typing import Dict, Iterable, List, Tuple
 
 from . import weyl
 from .ideals import AbelianIdeal, check_abelian_ideal, is_abelian, is_validated
-from .root_system import (RootSystem, _bits, _check_orth_set, _mask_of, _max_layer, _min_layer,
-                          _set_of, _union, non_orthogonal_pair)
+from .root_system import (RootSystem, _bits, _check_orth_set, _layer, _mask_of, _set_of, _union,
+                          non_orthogonal_pair)
 
 
 # Enumeration keeps every label as a frozenset: 538,078 of them (C11) peak
@@ -163,12 +164,12 @@ def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[
 def _peel(rs: RootSystem, carrier: int, up: bool) -> int:
     # keep the min (up) or max layer, drop it and its shift, repeat;
     # remaining stays inside the carrier, so the down shift needs no bound
-    layer_of, shifts = ((_min_layer, rs.up_shift_masks) if up
-                        else (_max_layer, rs.down_shift_masks))
+    rows, shifts = ((rs.down_masks, rs.up_shift_masks) if up
+                    else (rs.up_masks, rs.down_shift_masks))
     remaining = carrier
     result = 0
     while remaining:
-        layer = layer_of(rs, remaining)
+        layer = _layer(rows, remaining)
         result |= layer
         remaining &= ~(layer | _union(shifts, layer))
     return result

@@ -152,9 +152,9 @@ class RootSystem:
     ``diff_index`` at (k, i) and (k, j), the sum-partner bitmasks
     ``sum_masks`` and the shift bitmasks ``up_shift_masks`` (the roots
     beta_i + beta_j) and ``down_shift_masks`` (the roots beta_k - beta_j).
-    ``orth_masks`` (strongly orthogonal roots) follow from these, and
-    ``up_masks`` (dominating roots) from a closure over simple-root
-    additions.
+    ``orth_masks`` (strongly orthogonal roots) follow from these, and the
+    two dominance tables ``up_masks`` (the roots above) and ``down_masks``
+    (the roots below) from closures over the two shift tables.
 
     Tables derived elsewhere (structure constants, the Weyl reflection
     table, Weyl descent chains, the cascade) are cached by the functions
@@ -250,13 +250,18 @@ class RootSystem:
             full & ~(1 << i | sums[i] | up_shift[i] | down_shift[i])
             for i in range(npos))
 
-        # dominance: up_masks[i] has bit j set iff root_j >= root_i; every
-        # dominance step factors through root additions, which raise the
-        # index, so the closure runs from the top root down
+        # dominance: up_masks[i] has bit j set iff root_j >= root_i, and
+        # down_masks[i] iff root_j <= root_i; every dominance step factors
+        # through root additions, which raise the index, so the up closure
+        # runs from the top root down and the down closure from the bottom up
         up = [0] * npos
         for i in reversed(range(npos)):
             up[i] = 1 << i | _union(up, up_shift[i])
         self.up_masks = tuple(up)
+        down = [0] * npos
+        for i in range(npos):
+            down[i] = 1 << i | _union(down, down_shift[i])
+        self.down_masks = tuple(down)
 
         self._eps_strings = self._build_eps_strings()
 
@@ -295,14 +300,10 @@ class RootSystem:
                     # p = number of string steps below beta along alpha_i
                     p = 0
                     cur = list(beta)
-                    while True:
+                    cur[i] -= 1
+                    while tuple(cur) in known:
+                        p += 1
                         cur[i] -= 1
-                        t = tuple(cur)
-                        neg = tuple(-x for x in cur)
-                        if t in known or neg in known:
-                            p += 1
-                        else:
-                            break
                     if p - self.cartan_pairing(beta, i) >= 1:
                         cand = list(beta)
                         cand[i] += 1
@@ -479,24 +480,29 @@ def dominance_leq(rs: RootSystem, i: int, j: int) -> bool:
     return bool(rs.up_masks[i] & (1 << j))
 
 
-def _min_layer(rs: RootSystem, mask: int) -> int:
-    # the minimal roots: a root strictly above beta lies above beta plus a root
-    return mask & ~_union(rs.up_masks, _union(rs.up_shift_masks, mask))
+def _layer(rows, mask: int) -> int:
+    """The roots of the mask whose row meets the mask only in themselves.
 
-
-def _max_layer(rs: RootSystem, mask: int) -> int:
-    # the maximal roots: each lies below no other root of the mask
-    return _mask_of(i for i in _bits(mask) if rs.up_masks[i] & mask == 1 << i)
+    With the rows ``rs.down_masks`` that is the min layer, with ``rs.up_masks`` the max layer.
+    """
+    out = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1] & mask == low:
+            out |= low
+        rest ^= low
+    return out
 
 
 def min_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
     """The roots with no other of the roots below them in dominance order."""
-    return _set_of(_min_layer(rs, _mask_of(roots)))
+    return _set_of(_layer(rs.down_masks, _mask_of(roots)))
 
 
 def max_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
     """The roots with no other of the roots above them in dominance order."""
-    return _set_of(_max_layer(rs, _mask_of(roots)))
+    return _set_of(_layer(rs.up_masks, _mask_of(roots)))
 
 
 # Bourbaki node index for each Vinberg-Onishchik node index, E types only.

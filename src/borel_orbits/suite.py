@@ -19,29 +19,15 @@ from .ideals import (
     ideal_from_shape,
     maximal_abelian_ideals,
 )
-from .root_system import RootSystem, build_root_system, min_elements
+from .root_system import _RANK_RULES, RootSystem, build_root_system, min_elements
 
 DEFAULT_SEED = 20344
 
 
 def all_types(max_rank: int, min_rank: int = 1) -> List[str]:
-    """Every simple type with rank in the given range, deterministically ordered."""
-    out = []
-    for n in range(min_rank, max_rank + 1):
-        if n >= 1:
-            out.append(f"A{n}")
-        if n >= 2:
-            out.append(f"B{n}")
-            out.append(f"C{n}")
-        if n >= 3:
-            out.append(f"D{n}")
-        if n in (6, 7, 8):
-            out.append(f"E{n}")
-        if n == 4:
-            out.append(f"F{n}")
-        if n == 2:
-            out.append(f"G{n}")
-    return out
+    """Every simple type with rank in the given range, by rank, then family."""
+    return [f"{f}{n}" for n in range(min_rank, max_rank + 1) for f in "ABCDEFG"
+            if _RANK_RULES[f](n)]
 
 
 def abelian_count_via_antichains(rs: RootSystem) -> int:

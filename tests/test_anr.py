@@ -263,6 +263,30 @@ def test_maximal_ideal_report_rejects_anr():
         maximal_ideal_report(rs, frozenset([rs.theta_index]))
 
 
+def test_maximal_ideal_report_tests_only_its_ideal(monkeypatch):
+    # maximality is decided on the one ideal given; no ideal is listed, and
+    # the errors come in the same order as before
+    def refuse(rs):
+        raise AssertionError("the report listed abelian ideals")
+
+    monkeypatch.setattr(borel_orbits.ideals, "enumerate_abelian_ideals", refuse)
+    monkeypatch.setattr(borel_orbits.ideals, "maximal_abelian_ideals", refuse)
+    rs = build_root_system("D4")
+    eps = rs.parse_root
+    five = borel_orbits.ideal_generated(rs, [eps("e1-e4"), eps("e1+e4"), eps("e2+e3")])
+    assert maximal_ideal_report(rs, five).formula_violations
+    for bad, message in [
+        (frozenset([eps("e1-e2")]), "input is not an abelian ideal"),
+        (frozenset(range(rs.num_positive)), "input is not an abelian ideal"),
+        (frozenset([rs.theta_index]), "input is not a maximal abelian ideal"),
+        (five - {eps("e1-e4")}, "input is not a maximal abelian ideal"),
+        (dict(abelian_nilradicals(rs))[0], "input is an abelian nilradical; use conjecture_check"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            maximal_ideal_report(rs, bad)
+        assert str(exc.value) == message
+
+
 # -- the Bruhat closure of the report against pairwise lifting ---------------
 
 def _closure_cases():

@@ -256,6 +256,65 @@ def test_normal_form_zero_denominator_exits_1(capsys):
     assert err == "error: vector entry 'e1-e2:1/0' has a zero denominator\n"
 
 
+# sha256 of stdout for paths no other test runs, recorded before the dominance
+# tables moved onto RootSystem and maximality became a local test
+CLI_OUTPUT_DIGESTS = [
+    (("ideals", "B3"), "48633b43db43be68fd72b89592fb8eb1704138b7d9294953055f859c3dc1849c"),
+    (("ideals", "B3", "--json"),
+     "e0473dc43505e3e3712f1ecfa830b1ef2d5327490853c1db99cf552c3038f076"),
+    (("ideals", "E7", "--anr"), "aa18fc6fdd10a59b771cfbad06e5d247172fdc7996bdbb679aef4a7ad41da745"),
+    (("cascade", "E8"), "9690085b7235c5601da8c885cd78a9b0f794782981457be1ac657dbb76440ea8"),
+    (("structure-table", "G2"), "190bed28107dd3619c93effd4802c7abae02c88555526798f73cbf3d12e38177"),
+    (("normal-form", "A5", "--shape", "3,3,1", "--vector", "e1-e4:2,e1-e5:3,e2-e4:-1/2,e3-e6:5",
+      "--json", "--transcript"),
+     "1d5b88851b3af092457defbd7930c672ff23c79be76fca620df7e6ad9d314c41"),
+    (("normal-form", "A5", "--shape", "3,3,1", "--vector", "e1-e4:2,e1-e5:3,e2-e4:-1/2,e3-e6:5",
+      "--json", "--transcript", "--dual"),
+     "a3cb204f4adfedd61900c8e1b32bc3f6a6fe1615d4e90779a7e206b7419c6af4"),
+    # the human report prints one mismatch line per formula violation
+    (("conjecture-check", "D4", "--ideal", "e1-e4,e1+e4,e2+e3"),
+     "d42bd184b6f7c4102d04c25bada04794c7034dbdedfa097dc0bc829a4915f513"),
+    # a coefficient tuple among the generators
+    (("orbits", "A3", "--ideal", "[0,1,1],e1-e4", "--count"),
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_OUTPUT_DIGESTS)
+def test_cli_outputs_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("orbits", "D4", "--max-abelian", "9"),
+     "D4 has 4 maximal abelian ideals, index 9 is out of range"),
+    (("orbits", "A3", "--ideal", "e1-e2,e2-e3"), "the generated ideal is not abelian"),
+    (("orbits", "A5", "--shape", "5,4"), "the shape [5, 4] ideal is not abelian"),
+    (("conjecture-check", "D4"), "specify exactly one of --node (nilradical) or --ideal"),
+    (("conjecture-check", "D4", "--node", "1", "--ideal", "e1-e4,e1+e4,e2+e3"),
+     "specify exactly one of --node (nilradical) or --ideal"),
+    (("dual", "A3", "--anr", "2", "--set", "e1-e2"), "--set must lie inside the chosen ideal"),
+    (("normal-form", "A3", "--anr", "2", "--vector", "e1-e3"),
+     "vector entry 'e1-e3' is not of the form root:value"),
+    (("orbits", "A3", "--ideal", "[1,1", "--count"), "unbalanced coefficient tuple '[1,1'"),
+    (("orbits", "A3", "--ideal", "[1,1]", "--count"), "expected 3 coefficients, got 2"),
+    (("orbits", "A3", "--ideal", "e9-e1", "--count"), "'e9-e1' is not a positive root of A3"),
+])
+def test_domain_error_messages_are_pinned(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_unknown_numbering_in_environment_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("BOREL_ORBITS_NUMBERING", "foo")
+    code, out, err = run_cli(capsys, "count-anr", "E7")
+    assert code == 1 and out == ""
+    assert err == "error: unknown numbering convention 'foo'\n"
+
+
 def test_listing_too_many_labels_exits_1(capsys):
     # 54,229,907 labels would exhaust memory; counting them is cheap
     code, out, err = run_cli(capsys, "orbits", "C14", "--anr", "14")

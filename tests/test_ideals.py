@@ -25,6 +25,7 @@ from borel_orbits.orbits import (
     strongly_orth_subsets,
     upper_canonical,
 )
+from borel_orbits.suite import all_types
 
 
 def labels(rs, roots):
@@ -97,6 +98,13 @@ def test_maximal_abelian_d4():
     assert sizes == [5, 6, 6, 6]
     five = next(a for a in maximal_abelian_ideals(rs) if len(a) == 5)
     assert labels(rs, five) == ["e1+e2", "e1+e3", "e1+e4", "e1-e4", "e2+e3"]
+
+
+@pytest.mark.parametrize("typ", all_types(8))
+def test_maximal_abelian_ideals_match_pairwise_definition(typ):
+    rs = build_root_system(typ)
+    ideals = enumerate_abelian_ideals(rs)
+    assert maximal_abelian_ideals(rs) == [a for a in ideals if not any(a < b for b in ideals)]
 
 
 def test_maximal_abelian_cn_unique():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -271,3 +272,45 @@ def test_orbit_of_vector_dense_records():
     assert rec.dim_in_a == len(ideal)
     rec = orbit_of_vector(rs, ideal, random_vector(rs, ideal, rng), side="dual")
     assert rec.dim_in_a_star == len(ideal)
+
+
+def test_side_must_be_primal_or_dual():
+    # any side but "primal" used to apply the coadjoint action silently
+    rs = build_root_system("C3")
+    ideal = max(enumerate_abelian_ideals(rs), key=len)
+    ops = [("unipotent", rs.simple_indices[0], Fraction(3))]
+    v = {rs.theta_index: Fraction(1)}
+    assert len(apply_b_element(rs, ideal, ops, v)) == 1
+    assert len(apply_b_element(rs, ideal, ops, v, side="dual")) == 3
+    message = "side must be 'primal' or 'dual'"
+    with pytest.raises(ValueError, match=message):
+        apply_b_element(rs, ideal, ops, v, side="xyz")
+    with pytest.raises(ValueError, match=message):
+        orbit_of_vector(rs, ideal, v, side="xyz")
+    _, tr = reduce_in_ideal(rs, ideal, v)
+    bad = dataclasses.replace(tr, side="xyz")
+    with pytest.raises(ValueError, match=message):
+        replay(rs, ideal, bad, v)
+    with pytest.raises(ValueError, match=message):
+        replay_supports(rs, ideal, bad, v)
+
+
+def test_structure_table_of_another_system_is_refused():
+    # a B3 table on C3 ideals used to divide by zero or give transcripts
+    # that do not replay
+    c3 = build_root_system("C3")
+    foreign = build_structure_table(build_root_system("B3"))
+    message = "the structure table is for B3, not for C3"
+    rng = random.Random(1)
+    for ideal in enumerate_abelian_ideals(c3):
+        if not ideal:
+            continue
+        v = random_vector(c3, ideal, rng)
+        _, tr = reduce_in_ideal(c3, ideal, v)
+        for call in (lambda: reduce_in_ideal(c3, ideal, v, foreign),
+                     lambda: reduce_in_dual(c3, ideal, v, foreign),
+                     lambda: replay(c3, ideal, tr, v, foreign),
+                     lambda: replay_supports(c3, ideal, tr, v, foreign),
+                     lambda: apply_b_element(c3, ideal, [], v, table=foreign)):
+            with pytest.raises(ValueError, match=message):
+                call()

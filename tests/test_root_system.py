@@ -174,6 +174,9 @@ def test_root_pair_tables_match_coefficient_definitions(typ):
     assert rs.up_masks == tuple(
         bits(j for j, rj in enumerate(roots) if all(b >= a for a, b in zip(ri, rj)))
         for ri in roots)
+    # down_masks is up_masks transposed
+    assert rs.down_masks == tuple(bits(j for j, up in enumerate(rs.up_masks) if up >> i & 1)
+                                  for i in range(len(roots)))
     assert rs.orth_masks == tuple(
         bits(j for j, rj in enumerate(roots) if j != i
              and not is_root(rs, [a + b for a, b in zip(ri, rj)])
