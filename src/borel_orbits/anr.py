@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import weyl
 from .ideals import AbelianIdeal, _is_maximal, abelian_nilradicals, check_abelian_ideal
 from .orbits import label_counts, strongly_orth_subsets
-from .root_system import RootSystem, _bits, _mask_of, _union
+from .root_system import RootSystem, _bits, _check_orth_set, _mask_of, _union
 
 
 def d_count(n: int, k: int) -> int:
@@ -118,6 +118,7 @@ def symmetry_bijection(rs: RootSystem, s: Iterable[int]) -> frozenset:
     ss = frozenset(s)
     if not ss <= ideal:
         raise ValueError("label must lie inside the symplectic nilradical")
+    _check_orth_set(rs, ss)
     used = set()
     shorts = []
     for g in ss:

@@ -1,10 +1,12 @@
 """Integral Chevalley-basis structure constants and exp-of-ad actions.
 
-Signs follow the extraspecial-pair convention: for every non-simple
-positive root, the generating pair whose first member is smallest in
-the fixed root order gets a positive constant, and every other constant
-is forced by antisymmetry and the Jacobi identity.  All values are
-exact integers of absolute value p+1 for the relevant root string.
+Signs follow the extraspecial-pair convention (Carter, *Simple Groups
+of Lie Type*, section 4.2): for every non-simple positive root, the
+generating pair whose first member is smallest in the fixed root order
+gets a positive constant, and every other constant is forced by
+antisymmetry and the Jacobi identity.  All values are exact integers of
+absolute value p+1 for the relevant root string.  A
+:class:`StructureTable` computes all it holds once, in its constructor.
 
 The exp(ad) action on an ideal and the coadjoint action on its dual are
 one routine that follows root strings up or down by delta; the sides
@@ -25,141 +27,128 @@ from .root_system import RootSystem
 
 
 class StructureTable:
-    """N_{a,b} for all root pairs of one system, one sign convention."""
+    """N_{a,b} for all root pairs of one system, one sign convention.
+
+    Built once and never changed: ``_pos`` holds N_{a,b} for the positive
+    pairs a < b by increasing sum, and :meth:`chain` reads chains built for
+    every root in both directions, so each signed constant is one lookup.
+    The first pair (a1, b1) of each sum is extraspecial, N = base_sign *
+    (p + 1), where p - q = <b, a^vee> along the a-string b - pa, ..., b + qa
+    (Humphreys, GTM 9, section 9.4); the others follow from the Jacobi
+    identity on e_a, e_b, e_{-a1} in integers, with squared-length ratios
+    as integer pairs and an exact ``divmod`` asserting integrality.
+    """
 
     def __init__(self, rs: RootSystem, base_sign: int = 1):
         if base_sign not in (1, -1):
             raise ValueError("base_sign must be +1 or -1")
         self.rs = rs
         self.base_sign = base_sign
+        # each pair reads only pairs with a smaller sum, built before it
         self._pos: Dict[Tuple[int, int], int] = {}
-        self._signed_cache: Dict[Tuple[int, int, int, int], int] = {}
-        self._chains: Dict[Tuple[int, bool], tuple] = {}
-        self._build()
+        for g, diffs in enumerate(rs.diff_index):
+            pairs = [(i, j) for i, j in enumerate(diffs) if j > i]
+            if not pairs:
+                continue
+            (a1, b1), *rest = pairs
+            self._pos[(a1, b1)] = base_sign * (self.p_value(a1, b1) + 1)
+            for a, b in rest:
+                n = self._from_jacobi(a, b, g, a1)
+                if abs(n) != self.p_value(a, b) + 1:
+                    raise AssertionError("structure constant magnitude mismatch")
+                self._pos[(a, b)] = n
+        self._up_chains = self._build_chains(up=True)
+        self._down_chains = self._build_chains(up=False)
 
     # -- p-values and the positive table -------------------------------
 
     def p_value(self, i: int, j: int) -> int:
         """Largest k with root_j - k*root_i still a root (of either sign)."""
+        if i == j:
+            return 0
         rs = self.rs
-        a = rs.positive_roots[i]
-        cur = list(rs.positive_roots[j])
-        p = 0
-        while True:
-            cur = [x - y for x, y in zip(cur, a)]
-            t = tuple(cur)
-            if t in rs.root_index or tuple(-x for x in t) in rs.root_index:
-                p += 1
-            else:
-                return p
+        q = 0
+        cur = rs.sum_index[j][i]
+        while cur >= 0:
+            q += 1
+            cur = rs.sum_index[cur][i]
+        return rs.coroot_pairing(rs.positive_roots[j], i) + q
 
-    def _build(self):
-        rs = self.rs
-        npos = rs.num_positive
-        pairs_for_sum = [[] for _ in range(npos)]
-        for i in range(npos):
-            for j in range(i + 1, npos):
-                g = rs.sum_index[i][j]
-                if g >= 0:
-                    pairs_for_sum[g].append((i, j))
-        for g in range(npos):
-            pairs = sorted(pairs_for_sum[g])
-            if not pairs:
-                continue
-            a1, b1 = pairs[0]
-            self._pos[(a1, b1)] = self.base_sign * (self.p_value(a1, b1) + 1)
-            for a, b in pairs[1:]:
-                n = self._from_jacobi(a, b, g, a1, b1)
-                if abs(n) != self.p_value(a, b) + 1:
-                    raise AssertionError("structure constant magnitude mismatch")
-                self._pos[(a, b)] = n
-
-    def _from_jacobi(self, a: int, b: int, g: int, a1: int, b1: int) -> int:
+    def _from_jacobi(self, a: int, b: int, g: int, a1: int) -> int:
         """Constant of a non-extraspecial pair from already-built values."""
+        # N_{a,b} N_{g,-a1} = N_{a,-a1} N_{a-a1,b} - N_{b,-a1} N_{b-a1,a};
+        # a1 < a < b, so a1 - a and a1 - b are never positive roots
         rs = self.rs
-        t1 = Fraction(0)
-        if rs.diff_index[b][a1] >= 0:
-            c = rs.diff_index[b][a1]
-            n_b_ma1 = -self._pos_lookup(a1, c) * Fraction(rs.root_norms[c], rs.root_norms[b])
-            t1 = n_b_ma1 * self._pos_lookup(c, a)
-        t2 = Fraction(0)
-        if rs.diff_index[a][a1] >= 0:
-            c = rs.diff_index[a][a1]
-            n_ma1_a = self._pos_lookup(a1, c) * Fraction(rs.root_norms[c], rs.root_norms[a])
-            t2 = n_ma1_a * self._pos_lookup(c, b)
-        n_g_ma1 = -self._pos_lookup(a1, b1) * Fraction(rs.root_norms[b1], rs.root_norms[g])
-        val = -(t1 + t2) / n_g_ma1
-        if val == 0 or val.denominator != 1:
+        total = 0
+        c = rs.diff_index[a][a1]
+        if c >= 0:
+            total += self._mixed(a, a1) * self._pos_lookup(c, b)
+        c = rs.diff_index[b][a1]
+        if c >= 0:
+            total -= self._mixed(b, a1) * self._pos_lookup(c, a)
+        val, rem = divmod(total, self._mixed(g, a1))
+        if val == 0 or rem:
             raise AssertionError("Jacobi propagation produced a non-integer constant")
-        return int(val)
+        return val
 
     def _pos_lookup(self, i: int, j: int) -> int:
-        if i < j:
-            return self._pos[(i, j)]
-        return -self._pos[(j, i)]
+        return self._pos[(i, j)] if i < j else -self._pos[(j, i)]
+
+    def _mixed(self, a: int, b: int) -> int:
+        """N_{beta_a, -beta_b} for a != b; 0 when beta_a - beta_b is no root."""
+        # on a zero-sum triple x + y + z = 0, N_{x,y} / |z|^2 is cyclic
+        rs = self.rs
+        c = rs.diff_index[a][b]
+        if c >= 0:  # beta_a - beta_b = beta_c: N_{a,-b} = N_{-b,-c} |c|^2 / |a|^2
+            n, top = -self._pos_lookup(b, c), a
+        else:
+            c = rs.diff_index[b][a]
+            if c < 0:
+                return 0
+            n, top = self._pos_lookup(c, a), b  # N_{c,a} |c|^2 / |b|^2
+        cn, cd = rs.root_norms[c].as_integer_ratio()
+        tn, td = rs.root_norms[top].as_integer_ratio()
+        val, rem = divmod(n * cn * td, cd * tn)
+        if rem:
+            raise AssertionError("non-integer mixed structure constant")
+        return val
 
     # -- public access --------------------------------------------------
 
     def structure_constant(self, sa: int, ia: int, sb: int, ib: int) -> int:
         """N for signed roots sa*root_ia, sb*root_ib; 0 when the sum is no root."""
-        rs = self.rs
         if ia == ib and sa != sb:
             raise ValueError("opposite roots bracket into the Cartan, not a root vector")
-        key = (sa, ia, sb, ib)
-        hit = self._signed_cache.get(key)
-        if hit is not None:
-            return hit
-        if sa > 0 and sb > 0:
-            val = self._pos_lookup(ia, ib) if rs.sum_index[ia][ib] >= 0 else 0
-        elif sa < 0 and sb < 0:
-            val = -self.structure_constant(1, ia, 1, ib)
-        elif sa < 0:
-            val = -self.structure_constant(sb, ib, sa, ia)
-        else:
-            # sa = +1, sb = -1; use the cyclic rule on a zero-sum triple
-            if rs.diff_index[ia][ib] >= 0:
-                c = rs.diff_index[ia][ib]
-                val = -self._pos_lookup(ib, c) * Fraction(rs.root_norms[c], rs.root_norms[ia])
-            elif rs.diff_index[ib][ia] >= 0:
-                c = rs.diff_index[ib][ia]
-                val = self._pos_lookup(c, ia) * Fraction(rs.root_norms[c], rs.root_norms[ib])
-            else:
-                val = 0
-            if val != int(val):
-                raise AssertionError("non-integer mixed structure constant")
-            val = int(val)
-        self._signed_cache[key] = val
-        return val
+        if sa == sb:
+            n = self._pos_lookup(ia, ib) if self.rs.sum_index[ia][ib] >= 0 else 0
+            return n if sa > 0 else -n
+        return self._mixed(ia, ib) if sa > 0 else -self._mixed(ib, ia)
 
     # -- exp(ad) chains --------------------------------------------------
 
     def chain(self, delta: int, up: bool) -> tuple:
         """Per source root: ((target, coefficient_of_t^k, k), ...) going up by
         delta (the ad action) or down by delta through positive roots (coad)."""
-        hit = self._chains.get((delta, up))
-        if hit is not None:
-            return hit
+        return (self._up_chains if up else self._down_chains)[delta]
+
+    def _build_chains(self, up: bool) -> tuple:
         rs = self.rs
         step = rs.sum_index if up else rs.diff_index
         sign = 1 if up else -1
-        chains = []
-        for src in range(rs.num_positive):
-            entries = []
-            cur = src
-            prod = 1
-            k = 0
-            while True:
-                nxt = step[cur][delta]
-                if nxt < 0:
-                    break
-                prod *= self.structure_constant(1, delta, sign, cur)
-                k += 1
-                entries.append((nxt, Fraction(prod, factorial(k)), k))
-                cur = nxt
-            chains.append(tuple(entries))
-        chains = tuple(chains)
-        self._chains[(delta, up)] = chains
-        return chains
+        out = []
+        for delta in range(rs.num_positive):
+            chains = []
+            for cur in range(rs.num_positive):
+                entries = []
+                prod = 1
+                while step[cur][delta] >= 0:
+                    prod *= self.structure_constant(1, delta, sign, cur)
+                    cur = step[cur][delta]
+                    k = len(entries) + 1
+                    entries.append((cur, Fraction(prod, factorial(k)), k))
+                chains.append(tuple(entries))
+            out.append(tuple(chains))
+        return tuple(out)
 
     def to_json(self) -> list:
         rs = self.rs

@@ -11,18 +11,25 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .root_system import RootSystem, _bits, _layer, _mask_of, _set_of, _union
+from .root_system import RootSystem, _bits, _mask_of, _set_of, _union
 
 
 def is_ideal(rs: RootSystem, roots: Iterable[int]) -> bool:
     """Upward closure under adding positive roots."""
-    mask = _mask_of(roots)
+    mask = _ideal_mask(roots)
     return not _union(rs.up_shift_masks, mask) & ~mask
 
 
 def is_abelian(rs: RootSystem, roots: Iterable[int]) -> bool:
-    mask = _mask_of(roots)
+    mask = _ideal_mask(roots)
     return not _union(rs.sum_masks, mask) & mask
+
+
+def _ideal_mask(roots: Iterable[int]) -> int:
+    # check_abelian_ideal gives an AbelianIdeal its mask before testing it
+    if isinstance(roots, AbelianIdeal) and hasattr(roots, "mask"):
+        return roots.mask
+    return _mask_of(roots)
 
 
 def ideal_generated(rs: RootSystem, generators: Iterable[int]) -> frozenset:
@@ -51,58 +58,59 @@ def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
     if is_validated(rs, roots):
         return roots
     s = AbelianIdeal(roots)
+    s.mask = _mask_of(s)
     if not is_ideal(rs, s):
         raise ValueError("root set is not upward closed")
     if not is_abelian(rs, s):
         raise ValueError("ideal is not abelian")
     s.rs = rs
-    s.mask = _mask_of(s)
     return s
 
 
 def enumerate_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
-    """All abelian ideals, ordered by (size, root-index sequence).
-
-    Depth-first over roots in decreasing height: a root may join only
-    when all its upper covers are already in (upward closure) and no
-    chosen root sums with it to a root (abelian).
-    """
-    npos = rs.num_positive
-    order = sorted(range(npos), key=lambda i: (-rs.heights[i], rs.positive_roots[i]))
-    # i plus a root is higher, so decided before i; the chosen roots stay upward closed
-    covers = rs.up_shift_masks
-    found: List[int] = []
-
-    def rec(pos: int, cur: int):
-        if pos == npos:
-            found.append(cur)
-            return
-        i = order[pos]
-        rec(pos + 1, cur)
-        if (covers[i] & cur) == covers[i] and not (rs.sum_masks[i] & cur):
-            rec(pos + 1, cur | (1 << i))
-
-    rec(0, 0)
-    ideals = [check_abelian_ideal(rs, _set_of(m)) for m in set(found)]
-    ideals.sort(key=lambda s: (len(s), sorted(s)))
-    return ideals
+    """All abelian ideals, ordered by (size, root-index sequence)."""
+    return _sorted_ideals(rs, _abelian_masks(rs))
 
 
 def maximal_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
     """Abelian ideals not properly contained in another abelian ideal.
 
-    Maximality is tested on each ideal alone (:func:`_is_maximal`): if a
-    lies properly inside an abelian ideal b, any maximal root of b minus a
-    could join a as an ideal and has no sum partner in a.
+    Maximality is tested on each mask alone, before any ideal is built
+    (:func:`_is_maximal`): if a lies properly inside an abelian ideal b,
+    any maximal root of b minus a could join a and has no sum partner in a.
     """
-    return [a for a in enumerate_abelian_ideals(rs) if _is_maximal(rs, a.mask)]
+    return _sorted_ideals(rs, [m for m in _abelian_masks(rs) if _is_maximal(rs, m)])
+
+
+def _sorted_ideals(rs: RootSystem, masks: Iterable[int]) -> List[AbelianIdeal]:
+    return sorted((check_abelian_ideal(rs, _set_of(m)) for m in masks),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def _abelian_masks(rs: RootSystem) -> List[int]:
+    """The mask of every abelian ideal, each once.
+
+    Roots are decided in decreasing height: every set found so far stays,
+    and is also extended by the next root when all its upper covers are
+    already in (upward closure) and no chosen root sums with it to a root
+    (abelian).
+    """
+    order = sorted(range(rs.num_positive), key=lambda i: (-rs.heights[i], rs.positive_roots[i]))
+    # i plus a root is higher, so decided before i; the chosen roots stay upward closed
+    found = [0]
+    for i in order:
+        covers, sums = rs.up_shift_masks[i], rs.sum_masks[i]
+        found += [cur | 1 << i for cur in found if not covers & ~cur and not sums & cur]
+    return found
 
 
 def _is_maximal(rs: RootSystem, a: int) -> bool:
     # the maximal roots outside the abelian ideal a are those that could join
-    # it as an ideal; one without a sum partner in a would keep it abelian
-    joinable = _layer(rs.up_masks, ((1 << rs.num_positive) - 1) & ~a)
-    return all(rs.sum_masks[i] & a for i in _bits(joinable))
+    # it as an ideal; one without a sum partner in a would keep it abelian.
+    # Below theta, each is a summand of a root of a with all its shifts in a
+    candidates = _union(rs.down_shift_masks, a) & ~a if a else 1 << rs.theta_index
+    return all(rs.sum_masks[i] & a for i in _bits(candidates)
+               if not rs.up_shift_masks[i] & ~a)
 
 
 def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, AbelianIdeal]]:

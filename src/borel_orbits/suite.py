@@ -35,7 +35,7 @@ def abelian_count_via_antichains(rs: RootSystem) -> int:
 
     Enumerates every antichain of the root poset, closes it upward and
     keeps the abelian ones; dedupes by the resulting root set.  Shares
-    no code with the direct depth-first enumerator.
+    no code with the direct root-by-root enumerator.
     """
     npos = rs.num_positive
     comparable = [0] * npos

@@ -155,6 +155,18 @@ def test_symmetry_bijection_c2():
         assert symmetry_bijection(rs, symmetry_bijection(rs, s)) == s
 
 
+def test_symmetry_bijection_refuses_what_is_no_orbit_label():
+    # e1+e2 - 2e1 = e2-e1 is a root, so this pair would map to the two roots
+    # {2e3, e1+e2} where n - k = 1 is due; the label functions refuse it too
+    rs = build_root_system("C3")
+    s = frozenset(rs.parse_root(x) for x in ("2e1", "e1+e2"))
+    msg = "e1\\+e2 and 2e1 are not strongly orthogonal"
+    with pytest.raises(ValueError, match=msg):
+        symmetry_bijection(rs, s)
+    with pytest.raises(ValueError, match=msg):
+        orbit_dims(rs, anr_ideal(rs, 2), s)
+
+
 def test_symmetry_bijection_sizes_n5():
     rs = build_root_system("C5")
     ideal = anr_ideal(rs, 4)

@@ -1,6 +1,7 @@
 """Derived tables are cached by the functions that own them, never on the RootSystem."""
 
 import copy
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 from borel_orbits import RootSystem, SimpleType, build_root_system, normal_form, weyl
 from borel_orbits.anr import anr_ideal, anr_statistic, conjecture_check, w0l_action
 from borel_orbits.cli import main
-from borel_orbits.chevalley import build_structure_table
+from borel_orbits.chevalley import bracket, build_structure_table
 from borel_orbits.ideals import enumerate_abelian_ideals
 from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal
 from borel_orbits.orbits import (
@@ -47,6 +48,34 @@ def test_root_system_gains_no_attributes():
     table = build_structure_table(rs)
     assert table is build_structure_table(rs, 1) is build_structure_table(rs, base_sign=1)
     assert build_structure_table(rs, -1) is not table
+
+
+def test_structure_table_is_fixed_at_construction():
+    rs = build_root_system("B3")
+    table = build_structure_table(rs)
+    before = dict(vars(table))
+    values = copy.deepcopy({k: v for k, v in before.items() if k != "rs"})
+    # every signed constant, every chain, brackets and both reductions
+    npos = rs.num_positive
+    for sa, sb in itertools.product((1, -1), repeat=2):
+        for i in range(npos):
+            for j in range(npos):
+                if i != j or sa == sb:
+                    table.structure_constant(sa, i, sb, j)
+    for delta in range(npos):
+        table.chain(delta, up=True)
+        table.chain(delta, up=False)
+    basis = [{("e", s, g): Fraction(1)} for s in (1, -1) for g in range(npos)]
+    for x, y in itertools.combinations(basis, 2):
+        bracket(table, x, y)
+    ideal = max(enumerate_abelian_ideals(rs), key=len)
+    v = {g: Fraction(g + 2) for g in ideal}
+    reduce_in_ideal(rs, ideal, v, table)
+    reduce_in_dual(rs, ideal, v, table)
+    after = vars(table)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    assert {k: v for k, v in after.items() if k != "rs"} == values
 
 
 def test_orbit_table_keeps_no_weyl_memo_per_element():

@@ -49,6 +49,74 @@ def test_magnitudes_are_p_plus_one():
             assert abs(n) == table.p_value(i, j) + 1
 
 
+_TABLE_TYPES = [f"{f}{n}" for f in "ABCD" for n in range(1, 9)
+                if not (f in "BC" and n < 2) and not (f == "D" and n < 3)]
+_TABLE_TYPES += ["E6", "E7", "E8", "F4", "G2"]
+
+
+def _reference_p_value(rs, i, j):
+    # walk root_j - k * root_i through coefficient tuples, either sign
+    a = rs.positive_roots[i]
+    cur = list(rs.positive_roots[j])
+    p = 0
+    while True:
+        cur = [x - y for x, y in zip(cur, a)]
+        t = tuple(cur)
+        if t in rs.root_index or tuple(-x for x in t) in rs.root_index:
+            p += 1
+        else:
+            return p
+
+
+def _reference_pos(table, i, j):
+    return table._pos[(i, j)] if i < j else -table._pos[(j, i)]
+
+
+def _reference_constant(table, sa, ia, sb, ib):
+    # the recursive rule over the same positive table, in Fractions
+    rs = table.rs
+    if sa > 0 and sb > 0:
+        return _reference_pos(table, ia, ib) if rs.sum_index[ia][ib] >= 0 else 0
+    if sa < 0 and sb < 0:
+        return -_reference_constant(table, 1, ia, 1, ib)
+    if sa < 0:
+        return -_reference_constant(table, sb, ib, sa, ia)
+    # sa = +1, sb = -1: the cyclic rule on a zero-sum triple
+    if rs.diff_index[ia][ib] >= 0:
+        c = rs.diff_index[ia][ib]
+        val = -_reference_pos(table, ib, c) * Fraction(rs.root_norms[c], rs.root_norms[ia])
+    elif rs.diff_index[ib][ia] >= 0:
+        c = rs.diff_index[ib][ia]
+        val = _reference_pos(table, c, ia) * Fraction(rs.root_norms[c], rs.root_norms[ib])
+    else:
+        return 0
+    assert val.denominator == 1
+    return int(val)
+
+
+@pytest.mark.parametrize("typ", _TABLE_TYPES)
+def test_string_formula_p_value_matches_tuple_walk(typ):
+    rs = build_root_system(typ)
+    table = build_structure_table(rs)
+    for i in range(rs.num_positive):
+        for j in range(rs.num_positive):
+            assert table.p_value(i, j) == _reference_p_value(rs, i, j), (i, j)
+
+
+@pytest.mark.parametrize("typ", _TABLE_TYPES)
+def test_signed_constants_match_recursive_reference(typ):
+    rs = build_root_system(typ)
+    for base_sign in (1, -1):
+        table = build_structure_table(rs, base_sign)
+        for sa, sb in itertools.product((1, -1), repeat=2):
+            for ia in range(rs.num_positive):
+                for ib in range(rs.num_positive):
+                    if ia == ib and sa != sb:
+                        continue
+                    assert table.structure_constant(sa, ia, sb, ib) == \
+                        _reference_constant(table, sa, ia, sb, ib), (base_sign, sa, ia, sb, ib)
+
+
 def test_antisymmetry_of_signed_constants():
     rs = build_root_system("B3")
     table = build_structure_table(rs)
