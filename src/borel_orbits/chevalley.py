@@ -259,15 +259,14 @@ def bracket(table: StructureTable, x: Mapping, y: Mapping) -> dict:
                     for i, cc in enumerate(coroot_coeffs(rs, g1)):
                         add(("h", i), c * s1 * cc)
                     continue
-                vec = tuple(s1 * a + s2 * b for a, b in
-                            zip(rs.positive_roots[g1], rs.positive_roots[g2]))
-                idx = rs.root_index.get(vec)
-                if idx is not None:
-                    sgn = 1
+                # s1 b1 + s2 b2 is s1 (b1 + b2), s1 (b1 - b2) or s2 (b2 - b1)
+                if s1 == s2:
+                    idx, sgn = rs.sum_index[g1][g2], s1
+                elif rs.diff_index[g1][g2] >= 0:
+                    idx, sgn = rs.diff_index[g1][g2], s1
                 else:
-                    idx = rs.root_index.get(tuple(-v for v in vec))
-                    sgn = -1
-                if idx is None:
+                    idx, sgn = rs.diff_index[g2][g1], s2
+                if idx < 0:
                     continue
                 n = table.structure_constant(s1, g1, s2, g2)
                 add(("e", sgn, idx), c * n)

@@ -1,36 +1,8 @@
-"""Exact integer linear algebra: fraction-free rank, Smith form, nth roots."""
+"""Exact integer linear algebra: Smith form and nth roots."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def matrix_rank(rows) -> int:
-    """Rank of an integer matrix via fraction-free Bareiss elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _identity(n):

@@ -141,31 +141,19 @@ def _apply_torus(rs: RootSystem, lam, v: dict, sign: int) -> dict:
             for k, c in v.items()}
 
 
-def _assert_linear_kill(walk, supp, nu: int, delta: int, what: str) -> None:
-    # walking away from nu along delta, only the first root may carry
-    # support, otherwise the kill is not linear
-    cur = walk[nu][delta]
-    k = 1
-    while cur >= 0:
-        if k >= 2 and cur in supp:
-            raise AssertionError(f"{what}kill step would be nonlinear; minimality violated")
-        cur = walk[cur][delta]
-        k += 1
-
-
 def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             table: Optional[StructureTable], side: str):
     a, table, vec = _inputs(rs, ideal, v, table, side)
     # the side fixes the peeling (min or max), the shift and the hull a kill
-    # must shrink (up or down), the walk along delta (down or up), the
-    # action (ad or coad) and the sign of the torus character
+    # must shrink (up or down), the action (ad or coad) and the sign of the
+    # torus character
     primal = side == "primal"
     if primal:
         sign, rows, shifts, hulls = 1, rs.down_masks, rs.up_shift_masks, rs.up_masks
-        walk, action = rs.diff_index, ad_exp_action
+        action = ad_exp_action
     else:
         sign, rows, shifts, hulls = -1, rs.up_masks, rs.down_shift_masks, rs.down_masks
-        walk, action = rs.sum_index, coad_exp_action
+        action = coad_exp_action
     what = "" if primal else "dual "
     steps = []
     acc: list = []  # S in the order its layers were peeled
@@ -195,7 +183,11 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
                     break
             else:
                 raise AssertionError(f"{what}kill target is not a shift of S")
-            _assert_linear_kill(walk, vec, nu, delta, what)
+            # walking away from nu along delta (down on the primal side, up
+            # on the dual), only the first root may carry support, otherwise
+            # the kill is not linear
+            if any(k > 1 and tgt in vec for tgt, _, k in table.chain(delta, not primal)[nu]):
+                raise AssertionError(f"{what}kill step would be nonlinear; minimality violated")
             n = table.structure_constant(1, delta, sign, gamma)
             t = -vec[nu] / (n * vec[gamma])
             before = {g: vec[g] for g in acc}

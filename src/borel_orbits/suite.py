@@ -14,7 +14,6 @@ from typing import Callable, List, Optional, Tuple
 
 from . import anr, normal_form, orbits, weyl
 from .ideals import (
-    abelian_nilradicals,
     enumerate_abelian_ideals,
     ideal_from_shape,
     maximal_abelian_ideals,
@@ -272,35 +271,20 @@ def item_09_d4_counterexample(seed: int):
                 f"sigma_S <= sigma_theta: {not not_leq}")
 
 
-def _conjecture_cases():
-    cases = []
-    for n in range(1, 7):
-        rs = build_root_system(f"A{n}")
-        cases.extend((rs, node) for node in range(n))
-    for n in range(2, 7):
-        cases.append((build_root_system(f"B{n}"), 0))
-        cases.append((build_root_system(f"C{n}"), n - 1))
-    for n in range(3, 7):
-        rs = build_root_system(f"D{n}")
-        cases.extend((rs, node) for node in (0, n - 2, n - 1))
-    rs = build_root_system("E6")
-    cases.extend((rs, node) for node in (0, 5))
-    return cases
-
-
 def item_10_conjecture_evidence(seed: int):
     rows = 0
     covers = 0
-    for rs, node in _conjecture_cases():
-        rep = anr.conjecture_check(rs, node)
-        if not rep.ok():
-            return False, (f"{rs.type} node {node + 1}: "
-                           f"{len(rep.formula_violations)} formula, "
-                           f"{len(rep.parity_violations)} parity, "
-                           f"{len(rep.monotonicity_violations)} monotonicity, "
-                           f"{len(rep.cover_gap_violations)} cover-gap violations")
-        rows += len(rep.rows)
-        covers += len(rep.covers)
+    for rs in map(build_root_system, all_types(6)):
+        for node in anr.anr_nodes(rs):
+            rep = anr.conjecture_check(rs, node)
+            if not rep.ok():
+                return False, (f"{rs.type} node {node + 1}: "
+                               f"{len(rep.formula_violations)} formula, "
+                               f"{len(rep.parity_violations)} parity, "
+                               f"{len(rep.monotonicity_violations)} monotonicity, "
+                               f"{len(rep.cover_gap_violations)} cover-gap violations")
+            rows += len(rep.rows)
+            covers += len(rep.covers)
     return True, (f"zero violations over every nilradical at rank <= 6 "
                   f"({rows} orbits, {covers} cover pairs checked)")
 

@@ -16,11 +16,11 @@ Elements are never enumerated group-wide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple
 
-from .intlin import matrix_rank
+from .intlin import smith_normal_form
 from .root_system import RootSystem, _check_orth_set
 
 
@@ -171,18 +171,21 @@ def length(rs: RootSystem, w: WeylElement) -> int:
 
 
 def absolute_length(rs: RootSystem, w: WeylElement) -> int:
-    """Rank of (identity - w) on the coordinate space.
+    """Rank of (identity - w) on the coordinate space: its nonzero Smith diagonal.
 
     It is |S| for every sigma_S (Carter 1972), which orbit records emit
     instead; the rank serves suite item 9 (D4) and the tests.
     """
     n = rs.rank
     wm = w.matrix
-    m = [[(1 if i == j else 0) - wm[i][j] for j in range(n)] for i in range(n)]
-    return matrix_rank(m)
+    _, d, _ = smith_normal_form(
+        [[(1 if i == j else 0) - wm[i][j] for j in range(n)] for i in range(n)])
+    return sum(1 for i in range(n) if d[i][i])
 
 
-@cache
+# one entry: bruhat_leq's only caller in the package,
+# anr._bruhat_lower_sets, lifts every candidate of one w in a row
+@lru_cache(maxsize=1)
 def _descent_chain(rs: RootSystem, w: WeylElement) -> tuple:
     """Simple-root positions descending w to the identity, left to right."""
     rows = _reflection_table(rs).rows

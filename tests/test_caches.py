@@ -97,6 +97,18 @@ def test_orbit_table_keeps_no_weyl_memo_per_element():
     assert all(after[name].currsize <= before[name].currsize + 1 for name in memos)
 
 
+def test_descent_chain_memo_holds_one_element():
+    # the report lifts every candidate of one w in a row, so one entry is
+    # as good as a memo of all 498 non-identity sigma_S of the C6 nilradical
+    rs = RootSystem(SimpleType("C", 6))
+    before = weyl._descent_chain.cache_info()
+    report = conjecture_check(rs, 5)
+    after = weyl._descent_chain.cache_info()
+    assert report.ok() and len(report.rows) == 499
+    assert after.misses > before.misses
+    assert after.currsize <= 1
+
+
 def test_counting_keeps_no_process_wide_memo(capsys):
     memos = {(mod, name): f for mod, module in sys.modules.items()
              if mod.startswith("borel_orbits")

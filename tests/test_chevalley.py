@@ -117,6 +117,31 @@ def test_signed_constants_match_recursive_reference(typ):
                         _reference_constant(table, sa, ia, sb, ib), (base_sign, sa, ia, sb, ib)
 
 
+def _reference_target(rs, s1, g1, s2, g2):
+    # s1 * root_g1 + s2 * root_g2 through coefficient tuples, either sign
+    vec = tuple(s1 * a + s2 * b for a, b in zip(rs.positive_roots[g1], rs.positive_roots[g2]))
+    if vec in rs.root_index:
+        return 1, rs.root_index[vec]
+    neg = tuple(-v for v in vec)
+    if neg in rs.root_index:
+        return -1, rs.root_index[neg]
+    return None
+
+
+@pytest.mark.parametrize("typ", _TABLE_TYPES)
+def test_bracket_targets_match_tuple_lookup(typ):
+    rs = build_root_system(typ)
+    table = build_structure_table(rs)
+    signed = [(s, g) for s in (1, -1) for g in range(rs.num_positive)]
+    for (s1, g1), (s2, g2) in itertools.product(signed, repeat=2):
+        if g1 == g2 and s1 != s2:
+            continue
+        target = _reference_target(rs, s1, g1, s2, g2)
+        expected = {} if target is None else \
+            {("e", *target): table.structure_constant(s1, g1, s2, g2)}
+        assert bracket(table, {("e", s1, g1): 1}, {("e", s2, g2): 1}) == expected
+
+
 def test_antisymmetry_of_signed_constants():
     rs = build_root_system("B3")
     table = build_structure_table(rs)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from borel_orbits import anr, build_root_system, orbits, suite, weyl
+from borel_orbits import anr, build_root_system, ideals, orbits, suite, weyl
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import check_abelian_ideal
 
@@ -323,6 +323,29 @@ def test_listing_too_many_labels_exits_1(capsys):
                    "1048576 that can be listed; count them instead\n")
     code, out, _ = run_cli(capsys, "orbits", "C14", "--anr", "14", "--count")
     assert code == 0 and out == "54229907\n"
+
+
+@pytest.mark.parametrize("argv, typ, count", [
+    (("ideals", "A30"), "A30", 1 << 30),
+    (("ideals", "A19", "--maximal"), "A19", 1 << 19),
+    (("orbits", "A30", "--max-abelian", "0", "--count"), "A30", 1 << 30),
+])
+def test_listing_too_many_abelian_ideals_exits_1(capsys, argv, typ, count):
+    # a rank-n type has 2^n abelian ideals; none is listed above 2^18
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: {typ} has {count} abelian ideals, more than the "
+                   "262144 that can be listed\n")
+
+
+def test_abelian_ideal_cap_is_checked_before_listing(capsys, monkeypatch):
+    monkeypatch.setattr(ideals, "MAX_IDEALS", 15)
+    code, out, err = run_cli(capsys, "ideals", "A4", "--maximal")
+    assert code == 1 and out == ""
+    assert err == "error: A4 has 16 abelian ideals, more than the 15 that can be listed\n"
+    monkeypatch.setattr(ideals, "MAX_IDEALS", 16)
+    code, out, _ = run_cli(capsys, "ideals", "A4")
+    assert code == 0 and len(out.splitlines()) == 16
 
 
 def test_counting_too_many_states_exits_1(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from borel_orbits.ideals import (
 )
 from borel_orbits.intlin import (
     integer_nth_root,
-    matrix_rank,
     nth_root_fraction,
     smith_normal_form,
 )
@@ -43,11 +42,22 @@ def eps(rs, text):
 
 # -- exact linear algebra helpers ------------------------------------------
 
-def test_matrix_rank():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
-    assert matrix_rank([[0, 0], [0, 0]]) == 0
-    assert matrix_rank([[2, 3, 5], [4, 6, 10], [1, 1, 1]]) == 2
+def test_kill_check_chains_are_the_delta_strings():
+    # the kill check reads table.chain(delta, not primal)[nu]: down from nu
+    # through diff_index on the primal side, up through sum_index on the dual
+    for typ in ("B4", "C4", "D5", "F4", "G2"):
+        rs = build_root_system(typ)
+        table = build_structure_table(rs)
+        for delta in range(rs.num_positive):
+            for up, step in ((False, rs.diff_index), (True, rs.sum_index)):
+                chains = table.chain(delta, up)
+                for nu in range(rs.num_positive):
+                    walk = []
+                    cur = step[nu][delta]
+                    while cur >= 0:
+                        walk.append((cur, len(walk) + 1))
+                        cur = step[cur][delta]
+                    assert [(tgt, k) for tgt, _, k in chains[nu]] == walk
 
 
 def test_smith_normal_form_properties():

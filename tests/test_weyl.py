@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +9,9 @@ from borel_orbits.ideals import (
     enumerate_abelian_ideals,
     maximal_abelian_ideals,
 )
+from borel_orbits.intlin import smith_normal_form
 from borel_orbits.orbits import strongly_orth_subsets, upper_canonical
+from borel_orbits.suite import all_types
 from borel_orbits.weyl import (
     WeylElement,
     absolute_length,
@@ -104,6 +107,70 @@ def test_absolute_length_equals_set_size():
             for s in strongly_orth_subsets(rs, ideal):
                 sig = sigma_of_orth_set(rs, s)
                 assert absolute_length(rs, sig.element) == len(s)
+
+
+# -- rank reference: fraction-free Bareiss elimination, sharing no code
+# with the Smith form that absolute_length reads its rank from
+
+def _bareiss_rank(rows):
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _smith_rank(rows):
+    _, d, _ = smith_normal_form(rows)
+    return sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+
+
+def test_smith_rank_matches_bareiss_reference():
+    for rows, rank in [([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1]], 2),
+                       ([[0, 0], [0, 0]], 0), ([[2, 3, 5], [4, 6, 10], [1, 1, 1]], 2)]:
+        assert _bareiss_rank(rows) == _smith_rank(rows) == rank
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        # a row that combines two others keeps some square matrices singular
+        if nrows > 2 and rng.random() < 0.5:
+            rows[0] = [a - 2 * b for a, b in zip(rows[1], rows[2])]
+        rank = _bareiss_rank(rows)
+        singular += rank < min(nrows, ncols)
+        assert _smith_rank(rows) == rank
+    assert singular > 50
+
+
+def test_absolute_length_matches_bareiss_rank():
+    sigmas = 0
+    for typ in all_types(5):
+        rs = build_root_system(typ)
+        n = rs.rank
+        for _, ideal in abelian_nilradicals(rs):
+            for s in strongly_orth_subsets(rs, ideal):
+                w = sigma_of_orth_set(rs, s).element
+                wm = w.matrix
+                rows = [[int(i == j) - wm[i][j] for j in range(n)] for i in range(n)]
+                assert absolute_length(rs, w) == _bareiss_rank(rows)
+                sigmas += 1
+    assert sigmas == 499
 
 
 # -- matrix reference: the Weyl layer as integer matrices on simple-root
