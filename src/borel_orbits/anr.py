@@ -7,16 +7,19 @@ exceptional cases.  The checker gathers evidence for the conjectured
 description of dual-orbit closures through Weyl involutions; it reports
 violations, it never proves anything.
 
-The checker orders the distinct involutions sigma_S under Bruhat by a
-transitive closure over integer bitsets, one lower-set mask per
-involution, visited by increasing length.  A pair is lifted through
-weyl.bruhat_leq only if it passes a necessary condition: u <= w forces
-u(lambda) - w(lambda) into the positive root cone for every dominant
-lambda, tested on the fundamental weights as integer vectors.  Pairs
-already implied by transitivity are never lifted.  Dimension
-monotonicity, the covers and the subset check then read the lower sets.
-The checker refuses an ideal with more than MAX_REPORT_LABELS labels,
-from their count, before building any.
+The checker orders the distinct involutions sigma_S under Bruhat as
+integer bitsets, one lower-set mask per involution, visited by
+increasing length.  Each involution gets an integer order vector, and u
+can lie below w only if u's vector is at most w's in every coordinate.
+In types A, B and C the vector decides the order exactly (the tableau
+criterion on the fundamental-weight drops in type A, the signed
+permutation counts of Bjorner-Brenti in types B and C), so no pair is
+lifted.  In types D, E, F and G the weight drops are only necessary: a
+pair that passes them is lifted through weyl.bruhat_leq, unless
+transitivity already implies it.  Dimension monotonicity, the covers
+and the subset check then read the lower sets.  The checker refuses an
+ideal with more than MAX_REPORT_LABELS labels, from their count, before
+building any.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
@@ -220,11 +224,14 @@ class ConjectureReport:
         }
 
 
-# A report keeps one lower-set mask of m bits per distinct involution and
-# lifts about m^2 / 36 pairs: C8's 7,193 labels take 1.43M lifts, about
-# 30 s on a 2-vCPU Xeon; C9's 29,186 would take some 24M, so it is refused
-# from the count before any label is built.
-MAX_REPORT_LABELS = 1 << 13
+# A report keeps one lower-set mask of m bits per distinct involution.
+# The largest it admits, as --json reports on a 2-vCPU Xeon: C9's 29,186
+# labels (exact test) in 8-10 s at 504 MB peak, most of it the JSON text;
+# the 6 x 6 rectangle of A11, 13,327 labels, in 3-4 s at 221 MB; D10's
+# 9,496 (lifted) in 19-25 s at 136 MB.  C10's 123,109 labels (about 1 GB
+# of masks) and D11's 35,696 (lifted) are refused from the count before
+# any label is built.
+MAX_REPORT_LABELS = 1 << 15
 
 
 @cache
@@ -246,38 +253,102 @@ def _weight_drop(rs: RootSystem, label: Iterable[int]) -> Tuple[int, ...]:
     return tuple(map(sum, zip(*(table[g] for g in label)))) or (0,) * rs.rank ** 2
 
 
+@cache
+def _signed_coords(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Per signed root index of type B or C, its epsilon support as signed coordinates.
+
+    Coordinate k (0-based) is relabelled n - k, so that alpha_n = e_n or
+    2e_n becomes the sign change of coordinate 1, Bjorner-Brenti's s_0,
+    and alpha_i the transposition s_{n-i}.
+    """
+    n = rs.rank
+    return tuple(tuple(n - k if v > 0 else k - n for k, v in enumerate(rs._eps_vector(c)) if v)
+                 for c in weyl._reflection_table(rs).coeffs)
+
+
+@cache
+def _at_least(n: int) -> Dict[int, Tuple[int, ...]]:
+    """Per value v in [+-n], the indicator of v >= j over j = -n+1, ..., -1, 1, ..., n."""
+    js = [j for j in range(1 - n, n + 1) if j]
+    return {v: tuple(int(v >= j) for j in js) for v in range(-n, n + 1) if v}
+
+
+def _signed_permutation_vector(rs: RootSystem, w: weyl.WeylElement) -> Tuple[int, ...]:
+    """w[i, j] = #{a <= i : p(a) >= j} for rows i < 0 of w's signed permutation p.
+
+    p is w on the relabelled coordinates (see _signed_coords): w(e_1) is
+    w(alpha_n) up to a factor 2, and w(e_m) = w(alpha_{n+1-m}) + w(e_{m-1})
+    is whichever of w(alpha_{n+1-m})'s two coordinates w(e_{m-1}) does not
+    cancel.  u <= w in B_n iff u[i, j] <= w[i, j] in every cell
+    (Bjorner-Brenti, GTM 231, Thm. 8.1.8); by p(-a) = -p(a) the rows
+    i < 0 suffice, and column j = -n counts every a, so is left out.
+    """
+    coords = _signed_coords(rs)
+    images = w.images
+    n = rs.rank
+    p = [coords[images[n - 1]][0]]
+    for m in range(2, n + 1):
+        x, y = coords[images[n - m]]
+        p.append(y if x == -p[-1] else x)
+    at_least = _at_least(n)
+    # row -m counts the values p(a) = -p(-a) over a = -n, ..., -m
+    row = (0,) * (2 * n - 1)
+    rows = []
+    for v in reversed(p):
+        row = tuple(map(add, row, at_least[-v]))
+        rows.append(row)
+    return sum(rows, ())
+
+
 def _bruhat_lower_sets(rs: RootSystem, labels: List[Tuple[int, ...]],
                        elements: List[weyl.WeylElement], lengths: List[int]) -> List[int]:
     """The Bruhat order on distinct sigma_S, sorted by length, as lower-set masks.
 
-    Bit u of entry w is set iff elements[u] <= elements[w].  u <= w needs
-    u(lambda) - w(lambda) in the positive root cone for dominant lambda
-    (Bjorner-Brenti, GTM 231, Sec. 2.2): u's weight drop is at most w's in
-    each of the n^2 coordinates.  Per coordinate, a table maps a value to
-    the mask of elements whose drop is at most it, so w's candidates are
-    n^2 ANDs.  They are lifted from the longest down; a hit ORs in the
-    candidate's finished lower set, and what is set is never lifted.
+    Bit u of entry w is set iff elements[u] <= elements[w].  Each family
+    has one order vector, a tuple of integers with u <= w only if u's
+    vector is at most w's in every coordinate.  Per coordinate, a table
+    maps a value to the mask of elements whose entry is at most it, so w's
+    candidates are one AND per coordinate.
+
+    - Types B and C: the signed-permutation counts of
+      _signed_permutation_vector, 2n^2 - n integers.  The test is exact,
+      so the candidates are the lower set.
+    - Other types: the weight drop, n^2 integers: u <= w needs
+      u(lambda) - w(lambda) in the positive root cone for dominant lambda
+      (Bjorner-Brenti, GTM 231, Sec. 2.2), tested on the fundamental
+      weights.  In type A this is the tableau criterion (ibid., Thm.
+      2.1.5) and exact.  In types D to G it is only necessary: the
+      candidates are lifted through weyl.bruhat_leq from the longest
+      down; a hit ORs in the candidate's finished lower set, and what is
+      set is never lifted.
     """
-    drops = [_weight_drop(rs, s) for s in labels]
+    family = rs.type.family
+    if family in "BC":
+        vectors = [_signed_permutation_vector(rs, w) for w in elements]
+    else:
+        vectors = [_weight_drop(rs, s) for s in labels]
+    exact = family in "ABC"
     tables = []
-    for column in zip(*drops):
-        exact: Dict[int, int] = {}
-        for u, v in enumerate(column):
-            exact[v] = exact.get(v, 0) | 1 << u
-        at_most, acc = {}, 0
-        for v in sorted(exact):
-            acc |= exact[v]
-            at_most[v] = acc
-        tables.append(at_most)
+    for column in zip(*vectors):
+        # entries are small nonnegative integers (up to 60, in E8), so a
+        # byte each, the last element first, and bytes() refuses any other;
+        # translating bytes <= v to "1" and the others to "0" spells the
+        # at-most-v mask in binary
+        code = bytes(column[::-1])
+        tables.append({v: int(code.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+                       for v in set(column)})
     lower: List[int] = []
     shorter = 0
     for w, elem in enumerate(elements):
         if w and lengths[w] != lengths[w - 1]:
             shorter = (1 << w) - 1
         candidates = shorter
-        for at_most, v in zip(tables, drops[w]):
+        for at_most, v in zip(tables, vectors[w]):
             candidates &= at_most[v]
         below = 1 << w
+        if exact:
+            lower.append(below | candidates)
+            continue
         while candidates:
             u = candidates.bit_length() - 1
             candidates ^= 1 << u

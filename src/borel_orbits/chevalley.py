@@ -220,11 +220,6 @@ def coad_exp_action(table: StructureTable, delta: int, t: Fraction,
 
 # -- full bracket on the Chevalley basis (used by tests and demos) ------
 
-def coroot_coeffs(rs: RootSystem, gamma: int) -> tuple:
-    """gamma^vee in the basis of simple coroots: the integer row ``rs.coroots[gamma]``."""
-    return rs.coroots[gamma]
-
-
 def bracket(table: StructureTable, x: Mapping, y: Mapping) -> dict:
     """Lie bracket of elements written on the basis h_i, e_(sign, root).
 
@@ -256,7 +251,7 @@ def bracket(table: StructureTable, x: Mapping, y: Mapping) -> dict:
                 _, s1, g1 = kx
                 _, s2, g2 = ky
                 if g1 == g2 and s1 != s2:
-                    for i, cc in enumerate(coroot_coeffs(rs, g1)):
+                    for i, cc in enumerate(rs.coroots[g1]):
                         add(("h", i), c * s1 * cc)
                     continue
                 # s1 b1 + s2 b2 is s1 (b1 + b2), s1 (b1 - b2) or s2 (b2 - b1)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .root_system import RootSystem, _mask_of, _set_of, _union
+from .root_system import RootSystem, _bits, _mask_of, _set_of, _union
 
 # On a 2-vCPU Xeon, A18's 2^18 masks take about 3.5 s, but `ideals A18`
-# builds and prints every ideal in about 26 s at 770 MB peak; A30 would
+# builds and prints every ideal in about 15 s at 740 MB peak; A30 would
 # exhaust memory.  From rank 19 on, listing is refused.
 MAX_IDEALS = 1 << 18
 
@@ -45,17 +45,19 @@ def ideal_generated(rs: RootSystem, generators: Iterable[int]) -> frozenset:
 
 
 class AbelianIdeal(frozenset):
-    """Root indices that check_abelian_ideal found to be an abelian ideal of ``rs``.
+    """Root indices known to form an abelian ideal of ``rs``.
 
-    Only check_abelian_ideal builds one, and gives it its bitmask as
-    ``mask``; set operations return plain frozensets.
+    check_abelian_ideal builds one from any root set after testing it;
+    the listings build one from each mask that _abelian_masks generated
+    as an abelian ideal, without testing it again.  Either way it carries
+    its bitmask as ``mask``; set operations return plain frozensets.
     """
 
     __slots__ = ("rs", "mask")
 
 
 def is_validated(rs: RootSystem, roots: Iterable[int]) -> bool:
-    """True iff the roots are an AbelianIdeal that check_abelian_ideal built for rs."""
+    """True iff the roots are an AbelianIdeal built for rs."""
     # one without rs (unpickled, or built by hand) is validated again
     return isinstance(roots, AbelianIdeal) and getattr(roots, "rs", None) is rs
 
@@ -90,8 +92,14 @@ def maximal_abelian_ideals(rs: RootSystem) -> List[AbelianIdeal]:
 
 
 def _sorted_ideals(rs: RootSystem, masks: Iterable[int]) -> List[AbelianIdeal]:
-    return sorted((check_abelian_ideal(rs, _set_of(m)) for m in masks),
-                  key=lambda s: (len(s), sorted(s)))
+    """AbelianIdeals of masks already known to be abelian ideals of rs, not checked again."""
+    out = []
+    for mask, roots in sorted(((m, _bits(m)) for m in masks),
+                              key=lambda item: (len(item[1]), item[1])):
+        s = AbelianIdeal(roots)
+        s.mask, s.rs = mask, rs
+        out.append(s)
+    return out
 
 
 def _abelian_masks(rs: RootSystem) -> List[int]:

@@ -184,7 +184,8 @@ def absolute_length(rs: RootSystem, w: WeylElement) -> int:
 
 
 # one entry: bruhat_leq's only caller in the package,
-# anr._bruhat_lower_sets, lifts every candidate of one w in a row
+# anr._bruhat_lower_sets, lifts every candidate of one w in a row; it
+# lifts only in types D to G, as types A, B and C have an exact test
 @lru_cache(maxsize=1)
 def _descent_chain(rs: RootSystem, w: WeylElement) -> tuple:
     """Simple-root positions descending w to the identity, left to right."""

@@ -99,12 +99,13 @@ def test_orbit_table_keeps_no_weyl_memo_per_element():
 
 def test_descent_chain_memo_holds_one_element():
     # the report lifts every candidate of one w in a row, so one entry is
-    # as good as a memo of all 498 non-identity sigma_S of the C6 nilradical
-    rs = RootSystem(SimpleType("C", 6))
+    # as good as a memo of all 231 non-identity sigma_S of the D7 spinor
+    # nilradical (types A, B and C lift nothing)
+    rs = RootSystem(SimpleType("D", 7))
     before = weyl._descent_chain.cache_info()
-    report = conjecture_check(rs, 5)
+    report = conjecture_check(rs, 6)
     after = weyl._descent_chain.cache_info()
-    assert report.ok() and len(report.rows) == 499
+    assert report.ok() and len(report.rows) == 232
     assert after.misses > before.misses
     assert after.currsize <= 1
 

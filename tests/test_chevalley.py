@@ -10,7 +10,6 @@ from borel_orbits.chevalley import (
     bracket,
     build_structure_table,
     coad_exp_action,
-    coroot_coeffs,
 )
 from borel_orbits.ideals import abelian_nilradicals, enumerate_abelian_ideals
 
@@ -191,7 +190,7 @@ def test_coroot_coefficients_are_integers():
     for typ in ("B3", "C3", "G2", "F4"):
         rs = build_root_system(typ)
         for g in range(rs.num_positive):
-            coeffs = coroot_coeffs(rs, g)
+            coeffs = rs.coroots[g]
             assert all(isinstance(c, int) for c in coeffs)
 
 

@@ -379,7 +379,7 @@ def test_report_refuses_c10_before_building(capsys):
     # 123,109 labels: about 7.6e9 pairs, refused from the count alone
     code, out, err = run_cli(capsys, "conjecture-check", "C10", "--node", "10")
     assert code == 1 and out == ""
-    assert err == ("error: the ideal has 123109 orbit labels, more than the 8192 "
+    assert err == ("error: the ideal has 123109 orbit labels, more than the 32768 "
                    "that a conjecture report can order\n")
 
 
