@@ -33,8 +33,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
 from .ideals import AbelianIdeal, _is_maximal, abelian_nilradicals, check_abelian_ideal
-from .orbits import label_counts, strongly_orth_subsets
-from .root_system import RootSystem, _bits, _check_orth_set, _mask_of, _union
+from .orbits import _label_masks, label_counts
+from .root_system import RootSystem, _bits, _check_orth_set, _union
 
 
 def d_count(n: int, k: int) -> int:
@@ -123,20 +123,15 @@ def symmetry_bijection(rs: RootSystem, s: Iterable[int]) -> frozenset:
     if not ss <= ideal:
         raise ValueError("label must lie inside the symplectic nilradical")
     _check_orth_set(rs, ss)
+    # the nilradical's short roots e_i + e_j have two epsilon coordinates, its long 2e_i one
     used = set()
-    shorts = []
+    out = set()
     for g in ss:
-        eps = rs.eps_string(g)
-        if eps.startswith("2e"):
-            used.add(int(eps[2:]))
-        else:
-            i, j = eps.split("+")
-            used.update((int(i[1:]), int(j[1:])))
-            shorts.append(g)
-    out = set(shorts)
-    for i in range(1, n + 1):
-        if i not in used:
-            out.add(rs.parse_root(f"2e{i}"))
+        support = [k for k, v in enumerate(rs._eps_vector(rs.positive_roots[g])) if v]
+        used.update(support)
+        if len(support) == 2:
+            out.add(g)
+    out.update(rs.parse_root(f"2e{k + 1}") for k in range(n) if k not in used)
     return frozenset(out)
 
 
@@ -226,9 +221,9 @@ class ConjectureReport:
 
 # A report keeps one lower-set mask of m bits per distinct involution.
 # The largest it admits, as --json reports on a 2-vCPU Xeon: C9's 29,186
-# labels (exact test) in 8-10 s at 504 MB peak, most of it the JSON text;
-# the 6 x 6 rectangle of A11, 13,327 labels, in 3-4 s at 221 MB; D10's
-# 9,496 (lifted) in 19-25 s at 136 MB.  C10's 123,109 labels (about 1 GB
+# labels (exact test) in 8-11 s at 198 MB peak, with the JSON in batches;
+# the 6 x 6 rectangle of A11, 13,327 labels, in 3-4 s at 89 MB; D10's
+# 9,496 (lifted) in 16-25 s at 61 MB.  C10's 123,109 labels (about 1 GB
 # of masks) and D11's 35,696 (lifted) are refused from the count before
 # any label is built.
 MAX_REPORT_LABELS = 1 << 15
@@ -366,8 +361,8 @@ def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> C
             f"the ideal has {count} orbit labels, more than the {MAX_REPORT_LABELS} "
             "that a conjecture report can order")
     # label x as masks[x] and labels[x]; enumerated, so strongly orthogonal
-    labels = [tuple(sorted(s)) for s in strongly_orth_subsets(rs, ideal)]
-    masks = [_mask_of(s) for s in labels]
+    masks = _label_masks(rs, ideal)
+    labels = [_bits(m) for m in masks]
     report = ConjectureReport(type=str(rs.type), ideal=tuple(sorted(ideal)), node=node)
     sigmas = [weyl._sigma_element(rs, s) for s in labels]
     lengths = [weyl.length(rs, w) for w in sigmas]

@@ -13,19 +13,22 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import anr, normal_form, orbits, suite, weyl
 from .chevalley import build_structure_table
 from .ideals import (
+    _abelian_masks,
+    _sorted_roots,
     abelian_nilradicals,
     check_abelian_ideal,
-    enumerate_abelian_ideals,
     ideal_from_shape,
     ideal_generated,
     maximal_abelian_ideals,
 )
 from .root_system import (
     _bits,
+    _parse_roots,
     build_root_system,
     node_from_bourbaki,
     node_to_bourbaki,
@@ -57,25 +60,6 @@ def _node_out(rs, args, node0: int) -> int:
     return node_from_bourbaki(rs, node0 + 1, _numbering(args))
 
 
-def _parse_root_list(rs, text: str):
-    tokens = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            tokens.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        tokens.append(cur)
-    return frozenset(rs.parse_root(t.strip()) for t in tokens if t.strip())
-
-
 def _resolve_ideal(rs, args) -> frozenset:
     specs = [s for s in ("ideal", "shape", "max_abelian", "anr")
              if getattr(args, s, None) is not None]
@@ -93,7 +77,7 @@ def _resolve_ideal(rs, args) -> frozenset:
     if args.anr is not None:
         return anr.anr_ideal(rs, _node_in(rs, args, args.anr))
     if args.ideal is not None:
-        ideal = ideal_generated(rs, _parse_root_list(rs, args.ideal))
+        ideal = ideal_generated(rs, _parse_roots(rs, args.ideal))
         what = "the generated ideal"
     else:
         rows = [int(x) for x in args.shape.split(",") if x.strip()]
@@ -114,8 +98,17 @@ def _ideal_spec_options(p):
     p.add_argument("--anr", type=int, help="abelian-nilradical node (1-based)")
 
 
+# The JSON text is written in batches of this many encoder pieces: the
+# whole text at once doubles a large report's peak memory, and a write per
+# piece is slow.
+_JSON_PIECES = 1 << 16
+
+
 def _print_json(data) -> int:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    while batch := "".join(islice(pieces, _JSON_PIECES)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
     return 0
 
 
@@ -174,8 +167,9 @@ def _cmd_ideals(args) -> int:
         items = [(f"maximal {k}", a)
                  for k, a in enumerate(maximal_abelian_ideals(rs))]
     else:
+        # root tuples, not AbelianIdeals: A18's 2^18 ideals then fit in about 160 MB
         items = [(f"abelian {k}", a)
-                 for k, a in enumerate(enumerate_abelian_ideals(rs))]
+                 for k, a in enumerate(_sorted_roots(_abelian_masks(rs)))]
     if args.json:
         return _print_json([{"name": name, "size": len(a), "roots": rs.sorted_labels(a)}
                             for name, a in items])
@@ -233,7 +227,7 @@ def _cmd_cascade(args) -> int:
 def _cmd_dual(args) -> int:
     rs = build_root_system(args.type)
     ideal = _resolve_ideal(rs, args)
-    s = _parse_root_list(rs, args.set)
+    s = _parse_roots(rs, args.set)
     if not s <= ideal:
         raise ValueError("--set must lie inside the chosen ideal")
     if args.json:
@@ -322,7 +316,7 @@ def _cmd_conjecture_check(args) -> int:
     if args.node is not None:
         rep = anr.conjecture_check(rs, _node_in(rs, args, args.node))
     else:
-        gens = _parse_root_list(rs, args.ideal)
+        gens = _parse_roots(rs, args.ideal)
         rep = anr.maximal_ideal_report(rs, ideal_generated(rs, gens))
     if args.json:
         data = rep.to_json(rs)

@@ -142,10 +142,11 @@ class RootSystem:
     none is added or changed later.
 
     ``coroots[k]`` holds the coordinates of beta_k^vee in the simple
-    coroots, checked integral once here.  Every pairing in the package is
-    the integer sum <mu, beta_k^vee> = sum_i coroots[k][i] <mu, alpha_i^vee>
-    (:meth:`coroot_pairing`); ``root_norms`` and :meth:`inner` follow from
-    the same pairings.
+    coroots, found in integers with the roots by one reflection walk
+    (:meth:`_generate`).  Every pairing in the package is the integer sum
+    <mu, beta_k^vee> = sum_i coroots[k][i] <mu, alpha_i^vee>
+    (:meth:`coroot_pairing`), checked once to be 2 at mu = beta_k;
+    ``root_norms`` and :meth:`inner` follow from the coroots.
 
     The root-pair tables are built in one pass over the pairs i <= j: a
     root beta_k = beta_i + beta_j fills ``sum_index`` (-1 for no root),
@@ -184,7 +185,7 @@ class RootSystem:
             cartan.append(tuple(row))
         self.cartan = tuple(cartan)
 
-        self.positive_roots = self._generate()
+        self.positive_roots, self.coroots = self._generate()
         self.num_positive = len(self.positive_roots)
         expected = _POSITIVE_COUNTS[typ.family](n)
         if self.num_positive != expected:
@@ -199,19 +200,14 @@ class RootSystem:
                 raise AssertionError("highest root is not dominance-maximal")
         self.theta = theta
 
-        # |beta|^2 = sum_i c_i <beta, alpha_i^vee> |alpha_i|^2 / 2, and
-        # beta^vee = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
-        norms, coroots = [], []
-        for r in self.positive_roots:
-            norm = sum(c * self.cartan_pairing(r, i) * form[i][i] / 2
-                       for i, c in enumerate(r) if c)
-            coroot = [c * form[i][i] / norm for i, c in enumerate(r)]
-            if any(x.denominator != 1 for x in coroot):
-                raise AssertionError("coroot coordinates must be integral")
-            norms.append(norm)
-            coroots.append(tuple(map(int, coroot)))
+        for k, r in enumerate(self.positive_roots):
+            if self.coroot_pairing(r, k) != 2:
+                raise AssertionError("<beta, beta^vee> must be 2")
+        # beta^vee = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee, so any
+        # coordinate with c_i != 0 gives |beta|^2 = c_i |alpha_i|^2 / coroot_i
+        norms = [next(c * form[i][i] / coroot[i] for i, c in enumerate(r) if c)
+                 for r, coroot in zip(self.positive_roots, self.coroots)]
         self.root_norms = tuple(norms)
-        self.coroots = tuple(coroots)
         maxnorm = max(norms)
         if maxnorm != 2:
             raise AssertionError("long roots are not normalised to squared length 2")
@@ -289,30 +285,32 @@ class RootSystem:
     # -- generation ----------------------------------------------------
 
     def _generate(self):
-        n = self.rank
+        """The positive roots, sorted by (height, coefficients), and their coroots.
+
+        Simple reflections walk up from the simple roots: s_i(beta) = beta - c alpha_i
+        for c = <beta, alpha_i^vee> < 0, with coroot beta^vee - <alpha_i, beta^vee> alpha_i^vee.
+        Every other positive root has some c > 0, so it is reached from a lower root.
+        """
+        n, cartan = self.rank, self.cartan
         simples = [tuple(_unit(i, n)) for i in range(n)]
-        known = set(simples)
-        layer = list(simples)
+        coroot_of = dict(zip(simples, simples))
+        layer = simples
         while layer:
             nxt = []
             for beta in layer:
+                coroot = coroot_of[beta]
                 for i in range(n):
-                    # p = number of string steps below beta along alpha_i
-                    p = 0
-                    cur = list(beta)
-                    cur[i] -= 1
-                    while tuple(cur) in known:
-                        p += 1
-                        cur[i] -= 1
-                    if p - self.cartan_pairing(beta, i) >= 1:
-                        cand = list(beta)
-                        cand[i] += 1
-                        cand = tuple(cand)
-                        if cand not in known:
-                            known.add(cand)
-                            nxt.append(cand)
+                    c = self.cartan_pairing(beta, i)
+                    if c < 0:
+                        up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                        if up not in coroot_of:
+                            # <alpha_i, beta^vee> = sum_k coroot_k <alpha_i, alpha_k^vee>
+                            d = sum(x * cartan[k][i] for k, x in enumerate(coroot) if x)
+                            coroot_of[up] = coroot[:i] + (coroot[i] - d,) + coroot[i + 1:]
+                            nxt.append(up)
             layer = nxt
-        return tuple(sorted(known, key=lambda r: (sum(r), r)))
+        roots = tuple(sorted(coroot_of, key=lambda r: (sum(r), r)))
+        return roots, tuple(map(coroot_of.__getitem__, roots))
 
     # -- epsilon presentation (classical families only) ----------------
 
@@ -402,6 +400,25 @@ def build_root_system(typ) -> RootSystem:
     """Build (or fetch the cached) root system of a simple type."""
     t = SimpleType.parse(typ)
     return _build_cached(t.family, t.rank)
+
+
+def _parse_roots(rs, text: str):
+    tokens = []
+    depth = 0
+    cur = ""
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            tokens.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    if cur.strip():
+        tokens.append(cur)
+    return frozenset(rs.parse_root(t.strip()) for t in tokens if t.strip())
 
 
 def _mask_of(roots: Iterable[int]) -> int:

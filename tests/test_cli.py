@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from borel_orbits import anr, build_root_system, ideals, orbits, suite, weyl
+from borel_orbits import anr, build_root_system, cli, ideals, orbits, suite, weyl
 from borel_orbits.cli import _resolve_ideal, build_parser, main
-from borel_orbits.ideals import check_abelian_ideal
+from borel_orbits.ideals import AbelianIdeal, check_abelian_ideal
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -178,6 +178,33 @@ def test_ideals_cli(capsys):
     assert len(out.strip().splitlines()) == 4
     code, out, _ = run_cli(capsys, "ideals", "A5", "--shape", "3,3,1")
     assert code == 0 and "dim 7" in out
+
+
+def test_ideals_listing_builds_no_abelian_ideal(capsys, monkeypatch):
+    built = []
+
+    def counting_new(cls, *args):
+        built.append(cls)
+        return frozenset.__new__(cls, *args)
+
+    monkeypatch.setattr(AbelianIdeal, "__new__", counting_new)
+    code, out, err = run_cli(capsys, "ideals", "A8")
+    assert code == 0 and err == "" and not built
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "13268160d196b3c439e12dc8ea5fcf9dd70b9f2984d23ef04393f847e1fcdde3"
+    assert len(ideals.enumerate_abelian_ideals(build_root_system("A8"))) == len(built) == 256
+
+
+@pytest.mark.parametrize("pieces", [1, 3])
+def test_json_batches_write_the_bytes_of_one_dump(capsys, monkeypatch, pieces):
+    rs = build_root_system("C4")
+    ideal = anr.anr_ideal(rs, 3)
+    records = [orbits.orbit_record(rs, ideal, s).to_json(rs)
+               for s in orbits.strongly_orth_subsets(rs, ideal)]
+    monkeypatch.setattr(cli, "_JSON_PIECES", pieces)
+    for data in (anr.conjecture_check(rs, 3).to_json(rs), records, [], {}):
+        assert cli._print_json(data) == 0
+        assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_numbering_flag(capsys):

@@ -106,6 +106,50 @@ def test_norms_inner_coroots_and_reflections_match_the_quadratic_form(typ):
             assert reflect(rs, j, i) == tuple(a - coef * b for a, b in zip(m, g)), (i, j)
 
 
+def _roots_by_string_probes(rs):
+    """The positive roots, sorted by (height, coefficients), by probing alpha_i-strings.
+
+    beta + alpha_i is a root iff p - <beta, alpha_i^vee> >= 1, where p
+    counts the steps of the alpha_i-string below beta.
+    """
+    n = rs.rank
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(simples)
+    layer = simples
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                cur = list(beta)
+                cur[i] -= 1
+                while tuple(cur) in known:
+                    p += 1
+                    cur[i] -= 1
+                if p - rs.cartan_pairing(beta, i) >= 1:
+                    cand = list(beta)
+                    cand[i] += 1
+                    cand = tuple(cand)
+                    if cand not in known:
+                        known.add(cand)
+                        nxt.append(cand)
+        layer = nxt
+    return tuple(sorted(known, key=lambda r: (sum(r), r)))
+
+
+@pytest.mark.parametrize("typ", all_types(8) + ["A40", "D30"])
+def test_reflection_walk_matches_string_probes_and_fraction_formulas(typ):
+    rs = build_root_system(typ)
+    assert rs.positive_roots == _roots_by_string_probes(rs)
+    form = rs.form
+    for k, r in enumerate(rs.positive_roots):
+        # |beta|^2 = sum_i c_i <beta, alpha_i^vee> |alpha_i|^2 / 2 and
+        # beta^vee = sum_i c_i (|alpha_i|^2 / |beta|^2) alpha_i^vee
+        norm = sum(c * rs.cartan_pairing(r, i) * form[i][i] / 2 for i, c in enumerate(r) if c)
+        assert rs.root_norms[k] == norm and rs.long[k] == (norm == 2), r
+        assert rs.coroots[k] == tuple(c * form[i][i] / norm for i, c in enumerate(r)), r
+
+
 def test_strong_orthogonality_c2_brute_force():
     rs = build_root_system("C2")
     # oracle: directly inspect sums and differences of the 4 positive roots
