@@ -70,7 +70,9 @@ def anr_nodes(rs: RootSystem) -> List[int]:
     return [node for node, _ in abelian_nilradicals(rs)]
 
 
+@cache
 def anr_ideal(rs: RootSystem, node: int) -> AbelianIdeal:
+    """The abelian nilradical at a 0-based node, built once per (system, node)."""
     for n, ideal in abelian_nilradicals(rs):
         if n == node:
             return ideal

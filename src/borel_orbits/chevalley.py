@@ -11,19 +11,22 @@ absolute value p+1 for the relevant root string.  A
 The exp(ad) action on an ideal and the coadjoint action on its dual are
 one routine that follows root strings up or down by delta; the sides
 differ only where a string leaves the ideal: ad fails, coad truncates.
-It sums the chain terms c * N * t^k / k! per target as integer
-(numerator, denominator) pairs and builds one ``Fraction`` per touched
-coefficient.
+By Chevalley's integrality theorem (ad e_a)^k / k! preserves the integer
+span of the basis (Humphreys, GTM 9, section 25), so each chain carries
+the integers N * ... / k!.  The routine works on vectors of reduced
+integer pairs (num, den), den > 0, and reduces each touched target's sum
+by one gcd; ``ad_exp_action`` and ``coad_exp_action`` wrap it in
+``Fraction``s for callers outside the normal-form layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .root_system import RootSystem
+from .root_system import RootSystem, _mask_of
 
 
 class StructureTable:
@@ -128,7 +131,10 @@ class StructureTable:
 
     def chain(self, delta: int, up: bool) -> tuple:
         """Per source root: ((target, coefficient_of_t^k, k), ...) going up by
-        delta (the ad action) or down by delta through positive roots (coad)."""
+        delta (the ad action) or down by delta through positive roots (coad).
+
+        The coefficient is the integer N_1 * ... * N_k / k! of the k-th
+        bracket along the delta-string."""
         return (self._up_chains if up else self._down_chains)[delta]
 
     def _build_chains(self, up: bool) -> tuple:
@@ -145,7 +151,10 @@ class StructureTable:
                     prod *= self.structure_constant(1, delta, sign, cur)
                     cur = step[cur][delta]
                     k = len(entries) + 1
-                    entries.append((cur, Fraction(prod, factorial(k)), k))
+                    coeff, rem = divmod(prod, factorial(k))
+                    if rem:
+                        raise AssertionError("exp(ad) chain coefficient is not an integer")
+                    entries.append((cur, coeff, k))
                 chains.append(tuple(entries))
             out.append(tuple(chains))
         return tuple(out)
@@ -169,43 +178,68 @@ def _structure_table(rs: RootSystem, base_sign: int) -> StructureTable:
     return StructureTable(rs, base_sign)
 
 
-def _exp_action(table: StructureTable, delta: int, t: Fraction,
-                v: Mapping[int, Fraction], ideal: Iterable[int], up: bool) -> dict:
-    # frozenset() would copy a validated ideal, which is a frozenset subclass
-    a = ideal if isinstance(ideal, frozenset) else frozenset(ideal)
-    out = {k: c if isinstance(c, Fraction) else Fraction(c) for k, c in v.items() if c}
-    if t == 0:
-        return out
+def _pair(c) -> Tuple[int, int]:
+    """A rational scalar as its reduced integer pair (num, den), den > 0."""
+    return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+
+
+def _fractions(vec: Mapping[int, Tuple[int, int]]) -> dict:
+    """A vector of integer pairs as ``Fraction``s."""
+    return {k: Fraction(n, d) for k, (n, d) in vec.items()}
+
+
+def _exp_action(table: StructureTable, delta: int, t: Tuple[int, int],
+                vec: Mapping[int, Tuple[int, int]], mask: int, ideal: frozenset, up: bool):
+    """exp(ad) (up) or coad (down) of t e_delta on a vector of reduced pairs.
+
+    ``mask`` is the support of vec and t = (tn, td) is reduced too; returns
+    the new vector and its support.  vec itself is never changed.
+    """
+    tn, td = t
+    if not tn:
+        return vec, mask
     chains = table.chain(delta, up)
-    tn, td = t.as_integer_ratio()
+    # a root string has at most four roots, so k <= 3
+    tpow = (1, tn, tn * tn, tn ** 3)
+    dpow = (1, td, td * td, td ** 3)
     # per target, its coefficient plus the terms c * fac * t^k as one integer pair
     sums: Dict[int, Tuple[int, int]] = {}
-    for src, c in out.items():
-        if src not in a:
+    for src, (cn, cd) in vec.items():
+        if src not in ideal:
             raise ValueError(("vector" if up else "covector")
                              + " support must lie inside the ideal")
-        cn, cd = c.as_integer_ratio()
         for tgt, fac, k in chains[src]:
-            if tgt not in a:
+            if tgt not in ideal:
                 if up:
                     raise AssertionError("ideal is not upward closed under the action")
                 continue
-            fn, fd = fac.as_integer_ratio()
-            term_d = cd * fd * td ** k
-            n, d = sums.get(tgt) or out.get(tgt, 0).as_integer_ratio()
-            sums[tgt] = (n * term_d + cn * fn * tn ** k * d, d * term_d)
+            term_d = cd * dpow[k]
+            n, d = sums.get(tgt) or vec.get(tgt, (0, 1))
+            sums[tgt] = (n * term_d + cn * fac * tpow[k] * d, d * term_d)
+    out = dict(vec)
     for tgt, (n, d) in sums.items():
         if n:
-            out[tgt] = Fraction(n, d)
-        else:
-            out.pop(tgt, None)
-    return out
+            g = gcd(n, d)
+            out[tgt] = (n // g, d // g)
+            mask |= 1 << tgt
+        elif tgt in out:
+            del out[tgt]
+            mask ^= 1 << tgt
+    return out, mask
+
+
+def _exp_fractions(table: StructureTable, delta: int, t: Fraction,
+                   v: Mapping[int, Fraction], ideal: Iterable[int], up: bool) -> dict:
+    # frozenset() would copy a validated ideal, which is a frozenset subclass
+    a = ideal if isinstance(ideal, frozenset) else frozenset(ideal)
+    vec = {k: _pair(c) for k, c in v.items() if c}
+    return _fractions(_exp_action(table, delta, _pair(t), vec, _mask_of(vec), a, up)[0])
 
 
 def ad_exp_action(table: StructureTable, delta: int, t: Fraction,
                   v: Mapping[int, Fraction], ideal: Iterable[int]) -> dict:
     """Coefficients of exp(t ad e_delta) applied to a vector of the ideal."""
-    return _exp_action(table, delta, t, v, ideal, up=True)
+    return _exp_fractions(table, delta, t, v, ideal, up=True)
 
 
 def coad_exp_action(table: StructureTable, delta: int, t: Fraction,
@@ -215,7 +249,7 @@ def coad_exp_action(table: StructureTable, delta: int, t: Fraction,
     Weights that leave the ideal are truncated away; the surviving
     chains only ever step down through positive roots.
     """
-    return _exp_action(table, delta, t, xi, ideal, up=False)
+    return _exp_fractions(table, delta, t, xi, ideal, up=False)
 
 
 # -- full bracket on the Chevalley basis (used by tests and demos) ------

@@ -33,7 +33,7 @@ def is_abelian(rs: RootSystem, roots: Iterable[int]) -> bool:
 
 
 def _ideal_mask(roots: Iterable[int]) -> int:
-    # check_abelian_ideal gives an AbelianIdeal its mask before testing it
+    # an AbelianIdeal made by hand or unpickled may carry no mask
     if isinstance(roots, AbelianIdeal) and hasattr(roots, "mask"):
         return roots.mask
     return _mask_of(roots)
@@ -67,12 +67,18 @@ def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
     if is_validated(rs, roots):
         return roots
     s = AbelianIdeal(roots)
-    s.mask = _mask_of(s)
-    if not is_ideal(rs, s):
+    # the mask and the unions of is_ideal and is_abelian in one pass
+    mask = ups = sums = 0
+    up_rows, sum_rows = rs.up_shift_masks, rs.sum_masks
+    for i in s:
+        mask |= 1 << i
+        ups |= up_rows[i]
+        sums |= sum_rows[i]
+    if ups & ~mask:
         raise ValueError("root set is not upward closed")
-    if not is_abelian(rs, s):
+    if sums & mask:
         raise ValueError("ideal is not abelian")
-    s.rs = rs
+    s.mask, s.rs = mask, rs
     return s
 
 

@@ -13,11 +13,16 @@ always possible (it may require extracting roots); the transcript
 reports whether it was.  Inputs lying in the rational orbit of a
 canonical representative always normalise fully.
 
-The arithmetic is exact and fraction-free: torus characters multiply
-integer numerators and denominators, and each output coefficient
-becomes one normalised ``Fraction``, also for int torus parameters.
-The torus solve memoises its Smith normal form per (system, label,
-side) in ``_torus_smith``, as tuples of tuples.
+The arithmetic is exact and fraction-free.  A (co)vector becomes a dict
+of reduced integer pairs (num, den) once, when it enters, and travels
+with its support mask through every exp(ad) step, torus step and kill;
+``Fraction``s are built only for what the caller sees: the transcript's
+steps, torus and result, and the vectors ``replay`` and
+``apply_b_element`` return (also for int torus parameters).  The torus
+solve memoises its Smith normal form per (system, label, side) in
+``_torus_smith``, as tuples of tuples, and its consistency check proves
+the scaled vector is all ones, so a reduction does not apply the torus
+again.
 """
 
 from __future__ import annotations
@@ -26,13 +31,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Optional, Tuple
 
 from . import orbits
-from .chevalley import StructureTable, ad_exp_action, build_structure_table, coad_exp_action
+from .chevalley import StructureTable, _exp_action, _fractions, _pair, build_structure_table
 from .ideals import check_abelian_ideal
 from .intlin import nth_root_fraction, smith_normal_form
-from .root_system import RootSystem, _bits, _layer, _mask_of, _set_of, _union, non_orthogonal_pair
+from .root_system import RootSystem, _bits, _layer, _set_of, _union, non_orthogonal_pair
+
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ def char_value(lam: Tuple[Fraction, ...], coeffs, sign: int = 1) -> Fraction:
 
 def _inputs(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             table: Optional[StructureTable], side: str):
-    """The validated ideal, the structure table and the nonzero entries of v as Fractions."""
+    """The validated ideal, the structure table, and v's nonzero entries as pairs with their mask."""
     if side not in ("primal", "dual"):
         raise ValueError("side must be 'primal' or 'dual'")
     a = check_abelian_ideal(rs, ideal)
@@ -84,15 +93,16 @@ def _inputs(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
         table = build_structure_table(rs)
     elif table.rs is not rs:
         raise ValueError(f"the structure table is for {table.rs.type}, not for {rs.type}")
-    vec = {}
+    vec, mask = {}, 0
     for k, c in v.items():
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
+        c = _pair(c)
+        if not c[0]:
             continue
         if k not in a:
             raise ValueError(f"support root {rs.root_label(k)} lies outside the ideal")
         vec[k] = c
-    return a, table, vec
+        mask |= 1 << k
+    return a, table, vec, mask
 
 
 # bounded because callers may reduce any number of labels; the seed-1
@@ -109,7 +119,7 @@ def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
     """Rational lambda with prod lambda_i^(sign*coeff) = p/q per root, target (p, q); or None."""
     n = rs.rank
     if not roots:
-        return tuple(Fraction(1) for _ in range(n))
+        return (_ONE,) * n
     # u c v = diag(d) turns lambda^c = targets into y_j^d_j = targets^u[j],
     # and then lambda_i = y^v[i]
     u, diag, v = _torus_smith(rs, tuple(roots), sign)
@@ -126,40 +136,41 @@ def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
             y[j] = num, den
         elif num != den:
             return None
-    lam = tuple(Fraction(*_char_ratio(y, row, 1)) for row in v)
-    pairs = [x.as_integer_ratio() for x in lam]
+    lam = [_char_ratio(y, row, 1) for row in v]
     for g, (p, q) in zip(roots, targets):
-        num, den = _char_ratio(pairs, rs.positive_roots[g], sign)
+        num, den = _char_ratio(lam, rs.positive_roots[g], sign)
         if num * q != den * p:
             raise AssertionError("torus solver produced an inconsistent solution")
-    return lam
+    return tuple(Fraction(*x) for x in lam)
 
 
-def _apply_torus(rs: RootSystem, lam, v: dict, sign: int) -> dict:
-    pairs = [l.as_integer_ratio() for l in lam]
-    return {k: Fraction(*_char_ratio(pairs, rs.positive_roots[k], sign, *c.as_integer_ratio()))
-            for k, c in v.items()}
+def _apply_torus(rs: RootSystem, lam, vec: dict, sign: int) -> dict:
+    """The torus element with simple coordinates lam, as pairs, on a vector of pairs."""
+    out = {}
+    for k, (n, d) in vec.items():
+        n, d = _char_ratio(lam, rs.positive_roots[k], sign, n, d)
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        out[k] = n // g, d // g
+    return out
 
 
 def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             table: Optional[StructureTable], side: str):
-    a, table, vec = _inputs(rs, ideal, v, table, side)
+    a, table, vec, mask = _inputs(rs, ideal, v, table, side)
     # the side fixes the peeling (min or max), the shift and the hull a kill
     # must shrink (up or down), the action (ad or coad) and the sign of the
     # torus character
     primal = side == "primal"
     if primal:
         sign, rows, shifts, hulls = 1, rs.down_masks, rs.up_shift_masks, rs.up_masks
-        action = ad_exp_action
     else:
         sign, rows, shifts, hulls = -1, rs.up_masks, rs.down_shift_masks, rs.down_masks
-        action = coad_exp_action
     what = "" if primal else "dual "
     steps = []
     acc: list = []  # S in the order its layers were peeled
     s = 0
     while True:
-        layer = _layer(rows, _mask_of(vec) & ~s)
+        layer = _layer(rows, mask & ~s)
         if not layer:
             break
         acc.extend(_bits(layer))
@@ -172,7 +183,7 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
         # the support stays inside the ideal, so both shifts may be bounded by it
         shifted = _union(shifts, s) & a.mask
         while True:
-            targets = shifted & _mask_of(vec)
+            targets = shifted & mask
             if not targets:
                 break
             nu = _bits(_layer(rows, targets))[0]
@@ -189,29 +200,32 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             if any(k > 1 and tgt in vec for tgt, _, k in table.chain(delta, not primal)[nu]):
                 raise AssertionError(f"{what}kill step would be nonlinear; minimality violated")
             n = table.structure_constant(1, delta, sign, gamma)
-            t = -vec[nu] / (n * vec[gamma])
+            (vn, vd), (gn, gd) = vec[nu], vec[gamma]
+            t = Fraction(-vn * gd, n * gn * vd)  # -v_nu / (n v_gamma)
             before = {g: vec[g] for g in acc}
             old_hull = _union(hulls, targets) & a.mask
-            vec = action(table, delta, t, vec, a)
+            vec, mask = _exp_action(table, delta, t.as_integer_ratio(), vec, mask, a, primal)
             steps.append((delta, t))
             if nu in vec:
                 raise AssertionError(f"{what}kill step failed to remove its target")
             if any(vec.get(g) != c for g, c in before.items()):
                 raise AssertionError(f"{what}kill step changed a coefficient on S")
-            hull = _union(hulls, shifted & _mask_of(vec)) & a.mask
+            hull = _union(hulls, shifted & mask) & a.mask
             if hull & ~old_hull or hull == old_hull:
                 raise AssertionError(f"{what}kill phase is not making progress")
-    if _mask_of(vec) != s:
+    if mask != s:
         raise AssertionError(f"{what}reduction finished with support different from S")
     order = _bits(s)
     # the target 1 / vec[g] as the integer pair of vec[g], swapped
-    lam = _solve_scalings(rs, order, [vec[g].as_integer_ratio()[::-1] for g in order], sign)
+    lam = _solve_scalings(rs, order, [vec[g][::-1] for g in order], sign)
     normalized = lam is not None
     if normalized:
-        vec = _apply_torus(rs, lam, vec, sign)
+        # the solve has checked lambda^(sign c_g) vec[g] = 1 for every g in S
+        result = {g: _ONE for g in vec}
     else:
-        lam = tuple(Fraction(1) for _ in range(rs.rank))
-    return _set_of(s), ReductionTranscript(side, tuple(steps), lam, normalized, dict(vec))
+        lam = (_ONE,) * rs.rank
+        result = _fractions(vec)
+    return _set_of(s), ReductionTranscript(side, tuple(steps), lam, normalized, result)
 
 
 def reduce_in_ideal(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
@@ -228,15 +242,16 @@ def reduce_in_dual(rs: RootSystem, ideal: Iterable[int], xi: Mapping[int, Fracti
 
 def _trajectory(rs: RootSystem, ideal: Iterable[int], ops, v: Mapping[int, Fraction],
                 side: str, table: Optional[StructureTable]) -> list:
-    """The vector before and after each ("unipotent", delta, t) or ("torus", lam) op."""
-    a, table, vec = _inputs(rs, ideal, v, table, side)
-    sign, action = (1, ad_exp_action) if side == "primal" else (-1, coad_exp_action)
+    """The pair vector before and after each ("unipotent", delta, t) or ("torus", lam) op."""
+    a, table, vec, mask = _inputs(rs, ideal, v, table, side)
+    up = side == "primal"
+    sign = 1 if up else -1
     out = [vec]
     for op in ops:
         if op[0] == "torus":
-            vec = _apply_torus(rs, op[1], vec, sign)
+            vec = _apply_torus(rs, [_pair(l) for l in op[1]], vec, sign)
         else:
-            vec = action(table, op[1], op[2], vec, a)
+            vec, mask = _exp_action(table, op[1], _pair(op[2]), vec, mask, a, up)
         out.append(vec)
     return out
 
@@ -245,7 +260,7 @@ def replay(rs: RootSystem, ideal: Iterable[int], transcript: ReductionTranscript
            v: Mapping[int, Fraction], table: Optional[StructureTable] = None) -> dict:
     """Apply the recorded steps to a vector; must reproduce transcript.result."""
     ops = [("unipotent", d, t) for d, t in transcript.steps] + [("torus", transcript.torus)]
-    return _trajectory(rs, ideal, ops, v, transcript.side, table)[-1]
+    return _fractions(_trajectory(rs, ideal, ops, v, transcript.side, table)[-1])
 
 
 def replay_supports(rs: RootSystem, ideal: Iterable[int], transcript: ReductionTranscript,
@@ -290,4 +305,4 @@ def random_b_element(rs: RootSystem, rng: random.Random, max_steps: int = 10) ->
 
 def apply_b_element(rs: RootSystem, ideal: Iterable[int], ops, v: Mapping[int, Fraction],
                     side: str = "primal", table: Optional[StructureTable] = None) -> dict:
-    return _trajectory(rs, ideal, ops, v, side, table)[-1]
+    return _fractions(_trajectory(rs, ideal, ops, v, side, table)[-1])

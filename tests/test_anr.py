@@ -146,6 +146,28 @@ def test_anr_statistic_rejects_bad_node():
         anr_ideal(build_root_system("G2"), 0)
 
 
+def test_nilradical_is_built_once_per_node(monkeypatch):
+    rs = build_root_system("C6")
+    calls = []
+
+    def counted(rs_):
+        calls.append(rs_.type)
+        return abelian_nilradicals(rs_)
+
+    monkeypatch.setattr(anr, "abelian_nilradicals", counted)
+    anr_ideal.cache_clear()
+    labels = strongly_orth_subsets(rs, anr_ideal(rs, 5))
+    for s in labels:
+        symmetry_bijection(rs, s)
+        w0l_action(rs, 5, s)
+    assert len(labels) == 499 and len(calls) == 1
+    assert anr_ideal(rs, 5) is anr_ideal(rs, 5)
+    # a node without an abelian nilradical is refused on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="alpha_1 is not an abelian-nilradical node"):
+            anr_ideal(rs, 0)
+
+
 def test_symmetry_bijection_c2():
     rs = build_root_system("C2")
     empty = frozenset()

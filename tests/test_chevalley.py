@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from borel_orbits import build_root_system
 from borel_orbits.chevalley import (
+    StructureTable,
     ad_exp_action,
     bracket,
     build_structure_table,
@@ -184,6 +187,41 @@ def test_jacobi_identity_exhaustive(typ):
         _add_into(total, bracket(table, bracket(table, y, z), x))
         _add_into(total, bracket(table, bracket(table, z, x), y))
         assert all(v == 0 for v in total.values()), (typ, x, y, z)
+
+
+@pytest.mark.parametrize("typ", _TABLE_TYPES)
+def test_chain_coefficients_are_integers(typ):
+    # Chevalley: (ad e_delta)^k / k! is integral on the basis; walk each
+    # delta-string through coefficient tuples and multiply the constants
+    rs = build_root_system(typ)
+    table = build_structure_table(rs)
+    for up, sign in ((True, 1), (False, -1)):
+        for delta in range(rs.num_positive):
+            step = rs.positive_roots[delta]
+            for src, chain in enumerate(table.chain(delta, up)):
+                cur, prod, k = src, 1, 0
+                while True:
+                    nxt = rs.root_index.get(tuple(
+                        a + sign * b for a, b in zip(rs.positive_roots[cur], step)))
+                    if nxt is None:
+                        break
+                    prod *= table.structure_constant(1, delta, sign, cur)
+                    cur, k = nxt, k + 1
+                    tgt, coeff, kk = chain[k - 1]
+                    assert (tgt, kk) == (cur, k)
+                    assert type(coeff) is int and coeff == Fraction(prod, factorial(k))
+                assert len(chain) == k
+
+
+def test_non_integral_chain_coefficient_is_refused():
+    # with every constant 1, the k = 2 terms of B2's long strings are 1/2
+    class UnitConstants(StructureTable):
+        def structure_constant(self, sa, ia, sb, ib):
+            return 1
+
+    with pytest.raises(AssertionError,
+                       match=re.escape("exp(ad) chain coefficient is not an integer")):
+        UnitConstants(build_root_system("B2"))
 
 
 def test_coroot_coefficients_are_integers():

@@ -1,17 +1,22 @@
-"""The integer-pair torus characters, torus solve and exp(ad) sums against
-the Fraction loops they replaced, kept here as reference code."""
+"""The integer-pair torus characters, torus solve, exp(ad) sums and whole
+B-trajectories against the Fraction loops they replaced, kept here as
+reference code."""
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from borel_orbits import build_root_system
-from borel_orbits.chevalley import ad_exp_action, build_structure_table, coad_exp_action
-from borel_orbits.ideals import enumerate_abelian_ideals
+from borel_orbits.chevalley import (_exp_action, _pair, ad_exp_action,
+                                    build_structure_table, coad_exp_action)
+from borel_orbits.ideals import check_abelian_ideal, enumerate_abelian_ideals
 from borel_orbits.intlin import nth_root_fraction, smith_normal_form
-from borel_orbits.normal_form import _solve_scalings, char_value
+from borel_orbits.normal_form import (_solve_scalings, apply_b_element, char_value,
+                                      reduce_in_dual, reduce_in_ideal, replay, replay_supports)
+from borel_orbits.root_system import _mask_of
 
 # G2 for chains with k = 3, F4, and A-D up to rank 4
 TYPES = ("G2", "F4", "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -88,6 +93,27 @@ def _ref_solve_scalings(rs, roots, targets, sign=1):
     return lam
 
 
+def _ref_apply_torus(rs, lam, v, sign):
+    return {k: c * _ref_char_value(lam, rs.positive_roots[k], sign) for k, c in v.items()}
+
+
+def _ref_trajectory(rs, ideal, ops, v, side):
+    """The vector before and after each op, every coefficient a Fraction."""
+    a = check_abelian_ideal(rs, ideal)
+    vec = {k: Fraction(c) for k, c in v.items() if c}
+    assert all(k in a for k in vec)
+    table = build_structure_table(rs)
+    sign, up = (1, True) if side == "primal" else (-1, False)
+    out = [vec]
+    for op in ops:
+        if op[0] == "torus":
+            vec = _ref_apply_torus(rs, op[1], vec, sign)
+        else:
+            vec = _ref_exp_action(table, op[1], op[2], vec, a, up)
+        out.append(vec)
+    return out
+
+
 # -- strategies ---------------------------------------------------------------
 
 @cache
@@ -139,6 +165,26 @@ def _solve_case(draw):
     return rs, roots, targets, sign
 
 
+# int torus parameters give negative exponents on the dual side
+_LAM = st.one_of(st.integers(-5, 5).filter(bool),
+                 st.fractions(-5, 5, max_denominator=6).filter(bool))
+
+
+@st.composite
+def _word_case(draw):
+    typ = draw(st.sampled_from(TYPES))
+    rs = build_root_system(typ)
+    ideal = draw(st.sampled_from([a for a in _ideals(typ) if a]))
+    side = draw(st.sampled_from(("primal", "dual")))
+    v = draw(st.dictionaries(st.sampled_from(sorted(ideal)), _COEFF, min_size=1, max_size=6))
+    torus = st.tuples(st.just("torus"), st.lists(_LAM, min_size=rs.rank,
+                                                 max_size=rs.rank).map(tuple))
+    unipotent = st.tuples(st.just("unipotent"),
+                          st.integers(0, rs.num_positive - 1), _T)
+    ops = draw(st.lists(st.one_of(torus, unipotent), max_size=8))
+    return rs, frozenset(ideal), v, ops, side
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -171,6 +217,44 @@ def test_exp_action_matches_fraction_reference(case):
     if isinstance(want, dict):
         assert list(got) == list(want)
         assert all(type(c) is Fraction for c in got.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_action_case())
+def test_pair_action_returns_reduced_pairs_and_their_mask(case):
+    rs, ideal, v, delta, t, up = case
+    vec = {k: _pair(c) for k, c in v.items() if c}
+    before = dict(vec)
+    try:
+        out, mask = _exp_action(build_structure_table(rs), delta, _pair(t), vec,
+                                _mask_of(vec), frozenset(ideal), up)
+    except (ValueError, AssertionError):
+        return
+    assert vec == before
+    assert mask == _mask_of(out)
+    assert all(n and d > 0 and gcd(n, d) == 1 for n, d in out.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_case())
+def test_trajectories_match_fraction_reference(case):
+    rs, ideal, v, ops, side = case
+    ref = _ref_trajectory(rs, ideal, ops, v, side)
+    got = apply_b_element(rs, ideal, ops, v, side)
+    assert got == ref[-1] and list(got) == list(ref[-1])
+    assert all(type(c) is Fraction for c in got.values())
+    # reduce the moved vector, then replay its transcript both ways
+    w = ref[-1]
+    if not w:
+        return
+    reduce = reduce_in_ideal if side == "primal" else reduce_in_dual
+    _, tr = reduce(rs, ideal, w)
+    steps = [("unipotent", d, t) for d, t in tr.steps]
+    want = _ref_trajectory(rs, ideal, steps + [("torus", tr.torus)], w, side)
+    back = replay(rs, ideal, tr, w)
+    assert back == want[-1] == tr.result and list(back) == list(want[-1])
+    assert all(type(c) is Fraction for c in back.values())
+    assert replay_supports(rs, ideal, tr, w) == [frozenset(x) for x in want[:-1]]
 
 
 @settings(max_examples=300, deadline=None)

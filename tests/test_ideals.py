@@ -168,8 +168,19 @@ def test_enumeration_order_deterministic():
 
 
 def _count_validations(monkeypatch):
-    """Record every is_ideal/is_abelian call made through the package."""
+    """Record every is_ideal/is_abelian call made through the package, and
+    every check_abelian_ideal that tests its roots (it does so in one pass,
+    without calling either)."""
     calls = []
+    real_validated = ideals_module.is_validated
+
+    def checked(rs, roots):
+        validated = real_validated(rs, roots)
+        if not validated:
+            calls.append("check_abelian_ideal")
+        return validated
+
+    monkeypatch.setattr(ideals_module, "is_validated", checked)
     for name in ("is_ideal", "is_abelian"):
         real = getattr(ideals_module, name)
 
@@ -232,6 +243,24 @@ def test_raw_input_is_still_checked(bad, message):
         orbit_record(rs, roots, ())
     with pytest.raises(ValueError, match=message):
         reduce_in_ideal(rs, roots, {})
+
+
+@pytest.mark.parametrize("typ", ["A3", "B3", "G2"])
+def test_one_pass_validation_matches_is_ideal_and_is_abelian(typ):
+    # every root subset: upward closure is reported before abelianness
+    rs = build_root_system(typ)
+    for bits in range(1 << rs.num_positive):
+        roots = [i for i in range(rs.num_positive) if bits >> i & 1]
+        if not is_ideal(rs, roots):
+            want = "root set is not upward closed"
+        elif not is_abelian(rs, roots):
+            want = "ideal is not abelian"
+        else:
+            a = check_abelian_ideal(rs, roots)
+            assert a == set(roots) and a.mask == bits and a.rs is rs
+            continue
+        with pytest.raises(ValueError, match=want):
+            check_abelian_ideal(rs, roots)
 
 
 def test_ideal_of_another_root_system_is_checked_again(monkeypatch):

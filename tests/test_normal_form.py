@@ -234,6 +234,21 @@ def test_normalisation_obstruction_is_reported():
     assert replay(rs, ideal, tr, v) == tr.result == v
 
 
+@pytest.mark.parametrize("reduce", [reduce_in_ideal, reduce_in_dual])
+def test_failed_torus_solve_keeps_unscaled_result(reduce):
+    # the same square-root obstruction on both sides: the reduction keeps
+    # the vector it reached, with no torus applied
+    rs = build_root_system("C2")
+    ideal = dict(abelian_nilradicals(rs))[1]
+    v = {rs.parse_root("2e1"): Fraction(1), rs.parse_root("2e2"): Fraction(2)}
+    s, tr = reduce(rs, ideal, v)
+    assert s == eps(rs, "2e1,2e2")
+    assert not tr.normalized and tr.steps == ()
+    assert tr.torus == (1, 1) and all(type(x) is Fraction for x in tr.torus)
+    assert tr.result == v and all(type(c) is Fraction for c in tr.result.values())
+    assert replay(rs, ideal, tr, v) == v
+
+
 @pytest.mark.parametrize("side", ["primal", "dual"])
 def test_torus_parameters_give_exact_fractions(side):
     # int parameters with a negative exponent used to give floats
