@@ -129,7 +129,7 @@ def symmetry_bijection(rs: RootSystem, s: Iterable[int]) -> frozenset:
     used = set()
     out = set()
     for g in ss:
-        support = [k for k, v in enumerate(rs._eps_vector(rs.positive_roots[g])) if v]
+        support = [k for k, v in enumerate(rs.eps_vectors[g]) if v]
         used.update(support)
         if len(support) == 2:
             out.add(g)
@@ -259,8 +259,9 @@ def _signed_coords(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     and alpha_i the transposition s_{n-i}.
     """
     n = rs.rank
-    return tuple(tuple(n - k if v > 0 else k - n for k, v in enumerate(rs._eps_vector(c)) if v)
-                 for c in weyl._reflection_table(rs).coeffs)
+    positive = tuple(tuple(n - k if v > 0 else k - n for k, v in enumerate(vec) if v)
+                     for vec in rs.eps_vectors)
+    return positive + tuple(tuple(-x for x in c) for c in positive)
 
 
 @cache

@@ -370,21 +370,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="list abelian ideals")
     p.add_argument("type")
-    p.add_argument("--abelian", action="store_true", help="list all (default)")
-    p.add_argument("--maximal", action="store_true")
-    p.add_argument("--anr", action="store_true", help="list abelian nilradicals")
-    p.add_argument("--shape", help="type-A Young diagram rows")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--abelian", action="store_true", help="list all (default)")
+    which.add_argument("--maximal", action="store_true")
+    which.add_argument("--anr", action="store_true", help="list abelian nilradicals")
+    which.add_argument("--shape", help="type-A Young diagram rows")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_ideals)
 
     p = sub.add_parser("orbits", help="orbit labels of one abelian ideal")
     p.add_argument("type")
     _ideal_spec_options(p)
-    p.add_argument("--count", action="store_true", help="print only the orbit count")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--count", action="store_true", help="print only the orbit count")
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--csv", action="store_true")
     p.add_argument("--dims", action="store_true")
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=_cmd_orbits)
 
     p = sub.add_parser("cascade", help="Kostant's cascade of the type")

@@ -1,10 +1,11 @@
 """Finite simple root systems over exact rationals.
 
-A root system is built once from its Cartan data and is immutable
-afterwards.  Positive roots are stored as integer coefficient vectors
-over the simple-root basis and indexed in a fixed deterministic order
-(height, then lexicographic coefficients); the rest of the package
-refers to positive roots by these indices.  Inside the package a root
+A root system is built once from its Bourbaki Cartan matrix, read off
+the Dynkin diagram, and is immutable afterwards.  Positive roots are
+stored as integer coefficient vectors over the simple-root basis and
+indexed in a fixed deterministic order (height, then lexicographic
+coefficients); the rest of the package refers to positive roots by these
+indices.  Inside the package a root
 subset is an int bitmask (bit i for root i) handled only through this
 module's helpers; public functions take index iterables and return frozensets.
 
@@ -12,6 +13,9 @@ Simple-root numbering follows the Bourbaki convention for every family.
 The bilinear form is normalised so that long roots have squared length
 2, which keeps every Cartan pairing an exact integer.  Root norms, inner
 products and the coroot table all follow from those integer pairings.
+Epsilon coordinates serve only as the classical labels (e1-e4, 2e3): types
+A-D keep one integer table of them, and E, F and G roots are labelled by
+their coefficient tuples.
 """
 
 from __future__ import annotations
@@ -78,60 +82,49 @@ def _unit(i: int, dim: int) -> list:
     return v
 
 
-def _eps_simple_roots(typ: SimpleType):
-    """Simple roots in epsilon coordinates and the scale of the form.
+def _cartan_matrix(typ: SimpleType) -> List[List[int]]:
+    """Bourbaki's Cartan matrix a_ij = <alpha_j, alpha_i^vee> (Plates I-IX).
 
-    The inner product on epsilon space is ``scale * dot``; the scale is
-    chosen so that long roots get squared length 2.
+    The Dynkin diagram is a chain of single bonds (in type E alpha_2 hangs
+    off it), plus the branch of D and E; the one multiple bond puts -2 or
+    -3 in the short root's row.
     """
     fam, n = typ.family, typ.rank
-    if fam == "A":
-        dim = n + 1
-        simples = [[a - b for a, b in zip(_unit(i, dim), _unit(i + 1, dim))]
-                   for i in range(n)]
-        return simples, Fraction(1), dim
-    if fam == "B":
-        simples = [[a - b for a, b in zip(_unit(i, n), _unit(i + 1, n))]
-                   for i in range(n - 1)]
-        simples.append(_unit(n - 1, n))
-        return simples, Fraction(1), n
-    if fam == "C":
-        simples = [[a - b for a, b in zip(_unit(i, n), _unit(i + 1, n))]
-                   for i in range(n - 1)]
-        simples.append([2 * x for x in _unit(n - 1, n)])
-        return simples, Fraction(1, 2), n
-    if fam == "D":
-        simples = [[a - b for a, b in zip(_unit(i, n), _unit(i + 1, n))]
-                   for i in range(n - 1)]
-        simples.append([a + b for a, b in zip(_unit(n - 2, n), _unit(n - 1, n))])
-        return simples, Fraction(1), n
-    if fam == "E":
-        h = Fraction(1, 2)
-        e8 = [
-            [h, -h, -h, -h, -h, -h, -h, h],
-            [1, 1, 0, 0, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0, 0, 0],
-            [0, -1, 1, 0, 0, 0, 0, 0],
-            [0, 0, -1, 1, 0, 0, 0, 0],
-            [0, 0, 0, -1, 1, 0, 0, 0],
-            [0, 0, 0, 0, -1, 1, 0, 0],
-            [0, 0, 0, 0, 0, -1, 1, 0],
-        ]
-        simples = [[Fraction(x) for x in row] for row in e8[:n]]
-        return simples, Fraction(1), 8
-    if fam == "F":
-        h = Fraction(1, 2)
-        simples = [
-            [0, 1, -1, 0],
-            [0, 0, 1, -1],
-            [0, 0, 0, 1],
-            [h, -h, -h, -h],
-        ]
-        return [[Fraction(x) for x in row] for row in simples], Fraction(1), 4
-    if fam == "G":
-        simples = [[1, -1, 0], [-2, 1, 1]]
-        return [[Fraction(x) for x in row] for row in simples], Fraction(1, 3), 3
-    raise AssertionError(fam)
+    chain = [0, *range(2, n)] if fam == "E" else list(range(n - (fam == "D")))
+    bonds = list(zip(chain, chain[1:]))
+    if fam in "DE":
+        bonds.append((n - 3, n - 1) if fam == "D" else (1, 3))
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        a[i][j] = a[j][i] = -1
+    multiple = {"B": (n - 1, n - 2, -2), "C": (n - 2, n - 1, -2),
+                "F": (2, 1, -2), "G": (0, 1, -3)}
+    if fam in multiple:
+        short, long_, value = multiple[fam]
+        a[short][long_] = value
+    return a
+
+
+def _eps_vectors(typ: SimpleType, roots) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """The integer epsilon coordinates of each root in types A-D, else None.
+
+    alpha_i = e_i - e_{i+1} for i < n, and alpha_n is e_n - e_{n+1} (A),
+    e_n (B), 2e_n (C) or e_{n-1} + e_n (D) (Plates I-IV).
+    """
+    fam, n = typ.family, typ.rank
+    if fam not in "ABCD":
+        return None
+    last = {"A": ((n - 1, 1), (n, -1)), "B": ((n - 1, 1),), "C": ((n - 1, 2),),
+            "D": ((n - 2, 1), (n - 1, 1))}[fam]
+    simples = [((i, 1), (i + 1, -1)) for i in range(n - 1)] + [last]
+    out = []
+    for r in roots:
+        vec = [0] * (n + (fam == "A"))
+        for c, simple in zip(r, simples):
+            for k, v in simple:
+                vec[k] += c * v
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 class RootSystem:
@@ -140,6 +133,14 @@ class RootSystem:
     Instances are created through :func:`build_root_system`, cached per
     type and safe to share.  Every attribute is set at construction and
     none is added or changed later.
+
+    ``cartan`` is the one input (:func:`_cartan_matrix`).  The simple-root
+    norms follow from a_ij / a_ji across the bonds, scaled so that long
+    roots have squared length 2, and ``form[i][j]`` = a_ij |alpha_i|^2 / 2
+    is the Gram matrix of the simple roots.  In types A-D
+    ``eps_vectors[k]`` holds the integer epsilon coordinates of beta_k,
+    which give the labels that :meth:`eps_string` prints and
+    :meth:`parse_root` reads; it is None in types E, F and G.
 
     ``coroots[k]`` holds the coordinates of beta_k^vee in the simple
     coroots, found in integers with the roots by one reflection walk
@@ -167,23 +168,18 @@ class RootSystem:
         n = typ.rank
         self.rank = n
 
-        eps_simples, scale, eps_dim = _eps_simple_roots(typ)
-        self._eps_simples = eps_simples
-        self._eps_dim = eps_dim
-
-        form = [[scale * sum(a * b for a, b in zip(eps_simples[i], eps_simples[j]))
-                 for j in range(n)] for i in range(n)]
-        self.form = tuple(tuple(row) for row in form)
-        cartan = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = 2 * form[i][j] / form[i][i]
-                if val.denominator != 1:
-                    raise AssertionError("non-integral Cartan entry")
-                row.append(int(val))
-            cartan.append(tuple(row))
-        self.cartan = tuple(cartan)
+        self.cartan = tuple(map(tuple, _cartan_matrix(typ)))
+        # |alpha_i|^2 / |alpha_{i-1}|^2 = a_{i-1,i} / a_{i,i-1} across a bond,
+        # 1 between unbonded nodes; long roots get squared length 2
+        simple_norms = [Fraction(1)]
+        for i in range(1, n):
+            a, b = self.cartan[i - 1][i], self.cartan[i][i - 1]
+            simple_norms.append(simple_norms[-1] * Fraction(a or 1, b or 1))
+        top = max(simple_norms)
+        # (alpha_i, alpha_j) = a_ij |alpha_i|^2 / 2
+        form = [[a_ij * norm / top for a_ij in row]
+                for row, norm in zip(self.cartan, simple_norms)]
+        self.form = tuple(map(tuple, form))
 
         self.positive_roots, self.coroots = self._generate()
         self.num_positive = len(self.positive_roots)
@@ -259,7 +255,9 @@ class RootSystem:
             down[i] = 1 << i | _union(down, down_shift[i])
         self.down_masks = tuple(down)
 
+        self.eps_vectors = _eps_vectors(typ, self.positive_roots)
         self._eps_strings = self._build_eps_strings()
+        self._eps_index = {e: i for i, e in enumerate(self._eps_strings or ())}
 
     # -- basic queries -------------------------------------------------
 
@@ -314,21 +312,11 @@ class RootSystem:
 
     # -- epsilon presentation (classical families only) ----------------
 
-    def _eps_vector(self, coeffs: Sequence[int]):
-        dim = self._eps_dim
-        out = [0] * dim
-        for i, c in enumerate(coeffs):
-            if c:
-                for k in range(dim):
-                    out[k] += c * self._eps_simples[i][k]
-        return out
-
     def _build_eps_strings(self):
-        if self.type.family not in "ABCD":
+        if self.eps_vectors is None:
             return None
         out = []
-        for r in self.positive_roots:
-            vec = self._eps_vector(r)
+        for r, vec in zip(self.positive_roots, self.eps_vectors):
             support = [(k, v) for k, v in enumerate(vec) if v]
             s = None
             if len(support) == 2:
@@ -375,10 +363,10 @@ class RootSystem:
         if self._eps_strings is None:
             raise ValueError(
                 f"epsilon notation is only available for classical types, not {self.type}")
-        try:
-            return self._eps_strings.index(text)
-        except ValueError:
-            raise ValueError(f"{text!r} is not a positive root of {self.type}") from None
+        idx = self._eps_index.get(text)
+        if idx is None:
+            raise ValueError(f"{text!r} is not a positive root of {self.type}")
+        return idx
 
     def sorted_labels(self, roots: Iterable[int]) -> List[str]:
         """The labels of the given roots, sorted as strings."""
@@ -529,25 +517,24 @@ _VINBERG_TO_BOURBAKI = {
     ("E", 7): {1: 7, 2: 6, 3: 5, 4: 4, 5: 3, 6: 1, 7: 2},
     ("E", 8): {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3, 7: 1, 8: 2},
 }
+_BOURBAKI_TO_VINBERG = {key: {b: v for v, b in table.items()}
+                        for key, table in _VINBERG_TO_BOURBAKI.items()}
 
 
-def node_to_bourbaki(rs: RootSystem, node: int, convention: str = "bourbaki") -> int:
-    """Translate a 1-based simple-root number into Bourbaki numbering."""
+def _renumber(rs: RootSystem, node: int, convention: str, tables) -> int:
     if convention not in ("bourbaki", "vinberg"):
         raise ValueError(f"unknown numbering convention {convention!r}")
     if not 1 <= node <= rs.rank:
         raise ValueError(f"node {node} out of range for {rs.type}")
-    if convention == "vinberg":
-        table = _VINBERG_TO_BOURBAKI.get((rs.type.family, rs.rank))
-        if table:
-            return table[node]
-    return node
+    table = tables.get((rs.type.family, rs.rank)) if convention == "vinberg" else None
+    return table[node] if table else node
+
+
+def node_to_bourbaki(rs: RootSystem, node: int, convention: str = "bourbaki") -> int:
+    """Translate a 1-based simple-root number into Bourbaki numbering."""
+    return _renumber(rs, node, convention, _VINBERG_TO_BOURBAKI)
 
 
 def node_from_bourbaki(rs: RootSystem, node: int, convention: str = "bourbaki") -> int:
-    if convention == "vinberg":
-        table = _VINBERG_TO_BOURBAKI.get((rs.type.family, rs.rank))
-        if table:
-            inv = {v: k for k, v in table.items()}
-            return inv[node]
-    return node
+    """Translate a 1-based Bourbaki simple-root number into the given numbering."""
+    return _renumber(rs, node, convention, _BOURBAKI_TO_VINBERG)

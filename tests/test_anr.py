@@ -486,13 +486,21 @@ def _group(rs):
     return seen
 
 
-@pytest.mark.parametrize("typ", ["B4", "C4"])
+# the simple roots in epsilon coordinates (Bourbaki, Plates II and III)
+_EPS_SIMPLES = {
+    "B4": [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)],
+    "C4": [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 2)],
+}
+
+
+@pytest.mark.parametrize("typ", sorted(_EPS_SIMPLES))
 def test_signed_permutation_vector_from_the_matrix(typ):
     # e_k is alpha_k + ... + alpha_{n-1} plus alpha_n, halved in type C; w's
     # matrix sends it to +-e_c, so p(n+1-k) = +-(n+1-c) on the relabelled
     # coordinates, and the counts follow from their definition
     rs = build_root_system(typ)
     n = rs.rank
+    simples = _EPS_SIMPLES[typ]
     last = Fraction(1, 2) if rs.type.family == "C" else 1
     e = [[0] * k + [1] * (n - 1 - k) + [last] for k in range(n)]
     group = _group(rs)
@@ -501,7 +509,8 @@ def test_signed_permutation_vector_from_the_matrix(typ):
         m = w.matrix
         p = {}
         for k in range(n):
-            image = rs._eps_vector([sum(m[i][j] * e[k][j] for j in range(n)) for i in range(n)])
+            coeffs = [sum(m[i][j] * e[k][j] for j in range(n)) for i in range(n)]
+            image = [sum(c * a[col] for c, a in zip(coeffs, simples)) for col in range(n)]
             (c, v), = [(c, v) for c, v in enumerate(image) if v]
             p[n - k] = int(v) * (n - c)
             p[k - n] = -p[n - k]

@@ -572,10 +572,70 @@ def test_root_and_structure_tables_are_pinned(capsys, typ):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+# sha256 of `roots T --json` (cartan, theta, every root's coefficients and
+# epsilon label), recorded from the earlier construction of each root system
+# from epsilon coordinates: an oracle independent of the Cartan matrix
+ROOTS_JSON_DIGESTS = {
+    "A1": "d49d7af3fb23907068ed99282be8ca6c731826907ff487c93605b3d8aa190c9c",
+    "A2": "e64c4783e4230516b3cce3fb3c576ed8e776cc60cc68b8f44c761d5149993537",
+    "B2": "ba6bed4e84b5df637c865f151d5aa5a577f598c7cf50000fd9e0cce6f378441f",
+    "C2": "2defba8d15f81255091815e97e9faf8e408571f13ac79899c06b7186b9d5988c",
+    "G2": "0e15105c3eb26b64f7caa6a772e97f2c2b1cd27819d00eefb7edde019e98d24c",
+    "A3": "6edfecef9537256ceb06b8fb65ec36b108717aa17dde003c16114c3bcbdb09cc",
+    "B3": "87dbd0c91db5a555b460a1476f21a164dda97c02107d8de34d27f2a8fead3729",
+    "C3": "394a4fa47ac608489b262d3ae611e57f92a7cf0ac6fb926d86fb47c717cc6315",
+    "D3": "d3a6828ada8c8c49f8ab6472c94a3e20ac108cf6517658ceb5e217e4b5284e7c",
+    "A4": "917284aef10fe0e14f2368c092fd99615b90ba968b922ae1556aff048c75f697",
+    "B4": "c74a63164a7429927135e5e7ca284cdcc0deee88677125a61a7f5ef9109c4526",
+    "C4": "593f204f9dccb9355da02b792a4a7b5d5dd641472f7e4d8f34df9866c46f9ba4",
+    "D4": "c92d0775cb11fafa8b4143d024c481bdf2994e24a8f1743b58b4b5331c208664",
+    "F4": "55977ad5dfaf0e24cb1cccd91a57332e9e89b91e4b9dda8667e2b5373c60e418",
+    "A5": "c91e4ecda6c0b28fb8b083d3055f95a471d705b75871c998462c1ea321a691c9",
+    "B5": "932b4b2928a72dd9d44d50aaade7952770d3ed612e8146eabcf7650095612424",
+    "C5": "5c788a4db9e2dd33828825b49d8c8d1e03db0a659574124058645c18bcb982fc",
+    "D5": "8e41d2421f957a8d4be1f15a07ea020c7b4077110a5eb54c08288435c3019aa4",
+    "A6": "78ac0f24796866757dd63d4b571742471223f9574c687d876b7e32c8b3dc91c3",
+    "B6": "fee244c0f3263be9fd61de7b34eb21d356cf502b0b937398d4601f9ebfaf31e5",
+    "C6": "f5628e1efd7f03a5c89b204e2ca70863f605684be66504bdeb6b2f52650289b9",
+    "D6": "f79f988fe8ac5f849f022026f8bfd687e8cc68e9d8b9486ece9974084c3e3ffe",
+    "E6": "35dc0202ad7d50a8ed2c996560239c361ceb46060dd75375e0152c8178d52531",
+    "A7": "ca4886a03b6ceb0fc2ee4b3804b6d09a679105550267a578c83571bfa1ee7f25",
+    "B7": "f84df511aa23388d90aad971049835ed15b4bc1d96dbec5577ce60756f1cc81c",
+    "C7": "2424a5f312832a7e1908b07dd5c2a0803639b33374db40bd2623d05369afafad",
+    "D7": "1ffb951074b5843bf20c4daa3ecf7ad9f3dae1f75a91b244255fc2bd52cb7488",
+    "E7": "fe52020002ff525ea19b9d26d2fdb664508b872e593d419b7936586cc0a1e27e",
+    "A8": "efeb4d08423284c461452f8316fe5982bbec0c07dc65e7c5f3e97259b50cd8d3",
+    "B8": "324d397e494d7e191a94332cb8287af1e483a85f3a7ce4a161c6050893ba2f89",
+    "C8": "86336dc14fc8b7db8b7f128e0c496d7b1f621f2d6c6c527641544233cca47071",
+    "D8": "17cbc36abd47cebafe55d5f771d93544c9b3b2118910ee13dd76d5d9492e82c2",
+    "E8": "8fff4a247045cd9e0dc392818696fc4d1725a06a176dc661a33b750c4b706a7f",
+    "A40": "5c078745aa672578297d6372021df529ee775280e93aa4c8ddbb5e3f41fcf1af",
+    "D30": "4d5004f9a39427a8ee4020be3c297e0c47c67acd5155d7d508995b7fb3d1c0f1",
+}
+
+
+@pytest.mark.parametrize("typ", sorted(ROOTS_JSON_DIGESTS))
+def test_roots_json_is_pinned(capsys, typ):
+    code, out, err = run_cli(capsys, "roots", typ, "--json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_JSON_DIGESTS[typ]
+
+
+def test_usage_errors_exit_2(capsys):
+    for argv in (
+        ("no-such-command",),
+        # conflicting flags: each group picks one listing or one output format
+        ("ideals", "A3", "--shape", "2,1", "--maximal"),
+        ("ideals", "A3", "--abelian", "--anr"),
+        ("orbits", "A3", "--anr", "2", "--count", "--json"),
+        ("orbits", "A3", "--anr", "2", "--json", "--csv"),
+        ("orbits", "A3", "--anr", "2", "--count", "--csv"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "usage:" in out.err, argv
 
 
 def test_paper_suite_filter(capsys):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from operator import mul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -331,8 +334,23 @@ def test_root_string_length_bounds():
                 assert count <= bound, (typ, alpha, beta)
 
 
+_CLASSICAL = [t for t in all_types(8) if t[0] in "ABCD"]
+
+
+@pytest.mark.parametrize("typ", _CLASSICAL + ["A40", "D30"])
+def test_integer_eps_vectors_have_the_form_as_gram_matrix(typ):
+    # (u, v) = dot(u, v) on epsilon space, halved in type C where 2e_n is long
+    rs = build_root_system(typ)
+    simples = [rs.eps_vectors[i] for i in rs.simple_indices]
+    scale = Fraction(1, 2) if rs.type.family == "C" else 1
+    assert tuple(tuple(scale * sum(map(mul, u, v)) for v in simples) for u in simples) == rs.form
+    for r, vec in zip(rs.positive_roots, rs.eps_vectors):
+        assert all(type(x) is int for x in vec)
+        assert vec == tuple(sum(c * s[k] for c, s in zip(r, simples)) for k in range(len(vec)))
+
+
 def test_eps_strings_and_parse_round_trip():
-    for typ in ("A4", "B3", "C3", "D4"):
+    for typ in _CLASSICAL + ["A40"]:
         rs = build_root_system(typ)
         for i in range(rs.num_positive):
             assert rs.parse_root(rs.eps_string(i)) == i
@@ -365,3 +383,15 @@ def test_vinberg_numbering_remap():
     assert {node_to_bourbaki(e6, 1, "vinberg"), node_to_bourbaki(e6, 5, "vinberg")} == {1, 6}
     a4 = build_root_system("A4")
     assert node_to_bourbaki(a4, 3, "vinberg") == 3
+    assert node_from_bourbaki(a4, 3, "vinberg") == 3
+    for typ in ("E6", "E7", "E8", "D5"):
+        rs = build_root_system(typ)
+        for node in range(1, rs.rank + 1):
+            for convention in ("bourbaki", "vinberg"):
+                there = node_to_bourbaki(rs, node, convention)
+                assert node_from_bourbaki(rs, there, convention) == node
+    # both directions refuse an unknown convention and an out-of-range node
+    for node, convention in ((7, "foo"), (9, "bourbaki"), (0, "vinberg"), (8, "vinberg")):
+        for fn in (node_to_bourbaki, node_from_bourbaki):
+            with pytest.raises(ValueError):
+                fn(e7, node, convention)
