@@ -179,6 +179,9 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    if (args.dims or args.dual) and (args.count or args.json):
+        args.usage_error("--dims and --dual shape only the text table; "
+                         "they are not allowed with --count or --json")
     rs = build_root_system(args.type)
     ideal = _resolve_ideal(rs, args)
     if args.count:
@@ -187,15 +190,17 @@ def _cmd_orbits(args) -> int:
     if args.json:
         return _print_json([orbits.orbit_record(rs, ideal, s).to_json(rs)
                             for s in orbits.strongly_orth_subsets(rs, ideal)])
-    # table rows stay masks and compute only what they print (see orbits)
+    # table rows stay masks and are peeled only when printed (see orbits)
     labels = orbits._label_masks(rs, ideal)
     print("orth_set,size,dim_in_a,dim_in_a_star,dual" if args.csv
           else f"{rs.type}, ideal of dim {len(ideal)}: {len(labels)} orbits")
-    for ss in labels:
+    if not (args.csv or args.dims or args.dual):
+        for ss in labels:
+            print(f"  {{{_labels(rs, _bits(ss))}}}")
+        return 0
+    for ss, m_up, m_down, dual in orbits._table_rows(rs, ideal, labels):
         k = ss.bit_count()
-        if args.csv or args.dims or args.dual:
-            m_up, m_down, _, dual = orbits._orbit_masks(rs, ideal.mask, ss)
-            dim_a, dim_star = k + m_up.bit_count(), k + m_down.bit_count()
+        dim_a, dim_star = k + m_up.bit_count(), k + m_down.bit_count()
         if args.csv:
             print(f"\"{_labels(rs, _bits(ss))}\",{k},{dim_a},{dim_star},"
                   f"\"{_labels(rs, _bits(dual))}\"")
@@ -385,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--count", action="store_true", help="print only the orbit count")
     output.add_argument("--json", action="store_true")
     output.add_argument("--csv", action="store_true")
-    p.add_argument("--dims", action="store_true")
-    p.add_argument("--dual", action="store_true")
-    p.set_defaults(fn=_cmd_orbits)
+    p.add_argument("--dims", action="store_true", help="text table: orbit dimensions")
+    p.add_argument("--dual", action="store_true", help="text table: Pyasetskii duals")
+    p.set_defaults(fn=_cmd_orbits, usage_error=p.error)
 
     p = sub.add_parser("cascade", help="Kostant's cascade of the type")
     p.add_argument("type")
@@ -449,9 +454,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed the pipe early shows up here at the latest
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: point stdout at devnull so
+        # that the flush at exit cannot fail again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

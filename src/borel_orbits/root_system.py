@@ -140,7 +140,9 @@ class RootSystem:
     is the Gram matrix of the simple roots.  In types A-D
     ``eps_vectors[k]`` holds the integer epsilon coordinates of beta_k,
     which give the labels that :meth:`eps_string` prints and
-    :meth:`parse_root` reads; it is None in types E, F and G.
+    :meth:`parse_root` reads; it is None in types E, F and G.  ``labels[k]``
+    is the label every output prints for beta_k: its epsilon string in
+    types A-D, else its coefficient tuple as ``[c1,...,cn]``.
 
     ``coroots[k]`` holds the coordinates of beta_k^vee in the simple
     coroots, found in integers with the roots by one reflection walk
@@ -258,6 +260,8 @@ class RootSystem:
         self.eps_vectors = _eps_vectors(typ, self.positive_roots)
         self._eps_strings = self._build_eps_strings()
         self._eps_index = {e: i for i, e in enumerate(self._eps_strings or ())}
+        self.labels = self._eps_strings or tuple(
+            "[" + ",".join(map(str, r)) + "]" for r in self.positive_roots)
 
     # -- basic queries -------------------------------------------------
 
@@ -343,10 +347,7 @@ class RootSystem:
         return self._eps_strings[i]
 
     def root_label(self, i: int) -> str:
-        s = self.eps_string(i)
-        if s is not None:
-            return s
-        return "[" + ",".join(str(c) for c in self.positive_roots[i]) + "]"
+        return self.labels[i]
 
     def parse_root(self, text: str) -> int:
         """Index of a positive root given as an eps string or [c1,...,cn]."""
@@ -370,7 +371,7 @@ class RootSystem:
 
     def sorted_labels(self, roots: Iterable[int]) -> List[str]:
         """The labels of the given roots, sorted as strings."""
-        return sorted(self.root_label(i) for i in roots)
+        return sorted(map(self.labels.__getitem__, roots))
 
     def root_json(self, i: int) -> dict:
         return {"coeffs": list(self.positive_roots[i]), "eps": self.eps_string(i)}
@@ -419,11 +420,14 @@ def _mask_of(roots: Iterable[int]) -> int:
 
 def _bits(mask: int) -> Tuple[int, ...]:
     """The root indices of the set bits of a mask, in ascending order."""
+    # the bit loops here run from the top bit: bit_length and one shift cost
+    # less than the low-bit trick mask & -mask, which builds two new ints
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
     return tuple(out)
 
 
@@ -436,9 +440,9 @@ def _union(rows, roots: int) -> int:
     """The OR of the per-root masks in rows over the roots of a mask."""
     out = 0
     while roots:
-        low = roots & -roots
-        out |= rows[low.bit_length() - 1]
-        roots ^= low
+        i = roots.bit_length() - 1
+        out |= rows[i]
+        roots ^= 1 << i
     return out
 
 
@@ -493,10 +497,11 @@ def _layer(rows, mask: int) -> int:
     out = 0
     rest = mask
     while rest:
-        low = rest & -rest
-        if rows[low.bit_length() - 1] & mask == low:
-            out |= low
-        rest ^= low
+        i = rest.bit_length() - 1
+        bit = 1 << i
+        if rows[i] & mask == bit:
+            out |= bit
+        rest ^= bit
     return out
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -630,12 +632,34 @@ def test_usage_errors_exit_2(capsys):
         ("orbits", "A3", "--anr", "2", "--count", "--json"),
         ("orbits", "A3", "--anr", "2", "--json", "--csv"),
         ("orbits", "A3", "--anr", "2", "--count", "--csv"),
+        # --dims and --dual shape only the text table
+        ("orbits", "A3", "--anr", "2", "--count", "--dims", "--dual"),
+        ("orbits", "A3", "--anr", "2", "--count", "--dims"),
+        ("orbits", "A3", "--anr", "2", "--json", "--dims"),
+        ("orbits", "A3", "--anr", "2", "--json", "--dual"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv
         out = capsys.readouterr()
         assert out.out == "" and "usage:" in out.err, argv
+
+
+@pytest.mark.parametrize("fmt", ["--csv", "--json"])
+def test_closed_pipe_exits_quietly(fmt):
+    # a reader that stops after one line, as `| head -1` does; the output
+    # is far larger than a pipe's buffer, so the writer meets the closed pipe
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "borel_orbits", "orbits", "C8", "--anr", "8", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first in (b"orth_set,size,dim_in_a,dim_in_a_star,dual\n", b"[\n")
+    assert err == b""
 
 
 def test_paper_suite_filter(capsys):

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,27 +330,37 @@ def _ref_index(rs, v):
     return rs.root_index[v] if is_root(rs, v) and v in rs.root_index else None
 
 
-def _ref_shift(rs, s, sign):
-    # gamma + delta (sign 1) or gamma - delta (sign -1) that is a positive root
-    out = set()
-    for g in s:
-        for d in rs.positive_roots:
-            k = _ref_index(rs, [a + sign * b for a, b in zip(rs.positive_roots[g], d)])
-            if k is not None:
-                out.add(k)
-    return frozenset(out)
-
-
 def _ref_leq(rs, i, j):
     return all(b >= a for a, b in zip(rs.positive_roots[i], rs.positive_roots[j]))
 
 
+@cache
+def _ref_tables(rs):
+    # per root, from coefficient tuples only: its shifts by +delta and -delta
+    # that are positive roots, and the other roots above and below it
+    roots = range(rs.num_positive)
+    shifts = {sign: [frozenset(k for d in rs.positive_roots
+                               if (k := _ref_index(rs, [a + sign * b for a, b in
+                                                        zip(rs.positive_roots[g], d)]))
+                               is not None)
+                     for g in roots]
+              for sign in (1, -1)}
+    above = [frozenset(j for j in roots if j != i and _ref_leq(rs, i, j)) for i in roots]
+    below = [frozenset(j for j in roots if j != i and _ref_leq(rs, j, i)) for i in roots]
+    return shifts, above, below
+
+
+def _ref_shift(rs, s, sign):
+    # gamma + delta (sign 1) or gamma - delta (sign -1) that is a positive root
+    return frozenset().union(*(_ref_tables(rs)[0][sign][g] for g in s))
+
+
 def _ref_peel(rs, carrier, up):
+    _, above, below = _ref_tables(rs)
+    others = below if up else above
     remaining, result = set(carrier), set()
     while remaining:
-        layer = {i for i in remaining
-                 if not any(j != i and (_ref_leq(rs, j, i) if up else _ref_leq(rs, i, j))
-                            for j in remaining)}
+        layer = {i for i in remaining if not others[i] & remaining}
         result |= layer
         remaining -= layer | _ref_shift(rs, layer, 1 if up else -1)
     return frozenset(result)
@@ -390,3 +401,24 @@ def _check_against_reference(rs, a):
 def test_kostant_cascade_matches_frozenset_reference(typ):
     rs = build_root_system(typ)
     assert kostant_cascade(rs) == _ref_peel(rs, range(rs.num_positive), up=False)
+
+
+@pytest.mark.parametrize("typ,node", [(t, None) for t in all_types(5)]
+                         + [("C8", 7), ("D8", 7), ("E7", 6)])
+def test_table_rows_match_reference(typ, node):
+    # every abelian ideal at rank <= 5, else the nilradical of the node
+    rs = build_root_system(typ)
+    ideals = (enumerate_abelian_ideals(rs) if node is None
+              else [dict(abelian_nilradicals(rs))[node]])
+    for a in ideals:
+        labels = orbits._label_masks(rs, a)
+        rows = list(orbits._table_rows(rs, a, labels))
+        assert [row[0] for row in rows] == labels
+        for ss, m_up, m_down, dual in rows:
+            s = frozenset(root_system._bits(ss))
+            up = _ref_shift(rs, s, 1)
+            assert frozenset(root_system._bits(m_up)) == shift_up(rs, s) == up
+            assert frozenset(root_system._bits(m_down)) == shift_down(rs, a, s)
+            assert frozenset(root_system._bits(dual)) == _ref_peel(rs, a - s - up, up=False)
+        assert pyasetskii_map(rs, a) == {s: pyasetskii_dual(rs, a, s)
+                                         for s in strongly_orth_subsets(rs, a)}
