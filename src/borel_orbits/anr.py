@@ -1,11 +1,13 @@
 """Abelian nilradicals: closed-form orbit counts and the order-conjecture checker.
 
 The counting formulas cover the classical series (rectangles for type A,
-explicit tables for B and D, a pfaffian-style count d_{n,k} for the
-spinor nilradicals, c_{n,k} for the symplectic one) and the two
-exceptional cases.  The checker gathers evidence for the conjectured
-description of dual-orbit closures through Weyl involutions; it reports
-violations, it never proves anything.
+a pfaffian-style count d_{n,k} for the spinor nilradicals of D_n, c_{n,k}
+for the symplectic one of C_n).  closed_form_counts recognises these
+nilradicals by their root mask, whichever way the ideal was given, and
+the counts of every other ideal (B_n and D_n node 1, E6, E7) come from
+the counter orbits.label_counts.  The checker gathers evidence for the
+conjectured description of dual-orbit closures through Weyl involutions;
+it reports violations, it never proves anything.
 
 The checker orders the distinct involutions sigma_S under Bruhat as
 integer bitsets, one lower-set mask per involution, visited by
@@ -95,14 +97,48 @@ class CountTable:
                 "counts": list(self.counts), "total": self.total}
 
 
-def anr_statistic(rs: RootSystem, node: int) -> CountTable:
-    """Counts of orbit labels by size, from the counter of orbits.label_counts.
+def closed_form_counts(rs: RootSystem, ideal: Iterable[int]) -> Optional[Tuple[int, ...]]:
+    """Counts of orbit labels by size from a closed form, or None if none applies.
 
-    No label is built, so the count reaches ranks where listing the
-    labels would not fit in memory.
+    The abelian ideal's mask is compared with the nilradicals that have
+    one: every node of A_n (the rectangles, Melnikov's rook placements),
+    node n of C_n (c_{n,k}) and the spinor nodes n-1, n of D_n
+    (d_{n,k}).  The nilradical at node p is every root at or above
+    alpha_p, one row of ``up_masks``.  The counts are those of
+    orbits.label_counts: entry k for the k-element labels, the last one
+    nonzero.
+    """
+    mask = check_abelian_ideal(rs, ideal).mask
+    family, n = rs.type.family, rs.rank
+    nodes = {"A": range(n), "C": (n - 1,), "D": (n - 2, n - 1)}.get(family, ())
+    for node in nodes:
+        if mask == rs.up_masks[rs.simple_indices[node]]:
+            break
+    else:
+        return None
+    if family == "A":
+        m, k = node + 1, n - node
+        return tuple(rectangle_count(m, k, j) for j in range(min(m, k) + 1))
+    if family == "C":
+        return tuple(c_count(n, k) for k in range(n + 1))
+    return tuple(d_count(n, k) for k in range(n // 2 + 1))
+
+
+def orbit_counts(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, ...]:
+    """Counts of orbit labels by size: the closed form if one applies, else the counter."""
+    return closed_form_counts(rs, ideal) or label_counts(rs, ideal)
+
+
+def anr_statistic(rs: RootSystem, node: int) -> CountTable:
+    """Counts of orbit labels by size, from closed_form_counts or orbits.label_counts.
+
+    No label is built.  A nilradical with a closed form (A_n, C_n node
+    n, the D_n spinor nodes) is counted at any rank; the others go
+    through the counter, which refuses an ideal once its memo passes
+    orbits.MAX_COUNT_STATES.
     """
     ideal = anr_ideal(rs, node)
-    counts = label_counts(rs, ideal)
+    counts = orbit_counts(rs, ideal)
     table = CountTable(str(rs.type), node, counts, sum(counts))
     if table.counts[0] != 1:
         raise AssertionError("there must be exactly one empty label")
@@ -358,7 +394,7 @@ def _bruhat_lower_sets(rs: RootSystem, labels: List[Tuple[int, ...]],
 
 
 def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> ConjectureReport:
-    count = sum(label_counts(rs, ideal))
+    count = sum(orbit_counts(rs, ideal))
     if count > MAX_REPORT_LABELS:
         raise ValueError(
             f"the ideal has {count} orbit labels, more than the {MAX_REPORT_LABELS} "

@@ -14,8 +14,9 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from typing import Optional
 
-from . import anr, normal_form, orbits, suite, weyl
+from . import anr, normal_form, orbits
 from .chevalley import build_structure_table
 from .ideals import (
     _abelian_masks,
@@ -185,7 +186,7 @@ def _cmd_orbits(args) -> int:
     rs = build_root_system(args.type)
     ideal = _resolve_ideal(rs, args)
     if args.count:
-        print(sum(orbits.label_counts(rs, ideal)))
+        print(sum(anr.orbit_counts(rs, ideal)))
         return 0
     if args.json:
         return _print_json([orbits.orbit_record(rs, ideal, s).to_json(rs)
@@ -352,28 +353,19 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
+    from . import suite
+
     ok = suite.run(only=args.only, seed=args.seed)
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="borel-orbits",
-        description="B-orbit combinatorics in abelian ideals of a Borel subalgebra")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--numbering", choices=("bourbaki", "vinberg"),
-                        help=f"simple-root numbering convention "
-                             f"(default from ${_NUMBERING_ENV} or bourbaki)")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
-
-    p = sub.add_parser("roots", help="print the positive-root table")
+def _roots_options(p):
     p.add_argument("type")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_roots)
 
-    p = sub.add_parser("ideals", help="list abelian ideals")
+
+def _ideals_options(p):
     p.add_argument("type")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--abelian", action="store_true", help="list all (default)")
@@ -383,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_ideals)
 
-    p = sub.add_parser("orbits", help="orbit labels of one abelian ideal")
+
+def _orbits_options(p):
     p.add_argument("type")
     _ideal_spec_options(p)
     output = p.add_mutually_exclusive_group()
@@ -394,19 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", action="store_true", help="text table: Pyasetskii duals")
     p.set_defaults(fn=_cmd_orbits, usage_error=p.error)
 
-    p = sub.add_parser("cascade", help="Kostant's cascade of the type")
+
+def _cascade_options(p):
     p.add_argument("type")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_cascade)
 
-    p = sub.add_parser("dual", help="Pyasetskii dual of one orbit label")
+
+def _dual_options(p):
     p.add_argument("type")
     _ideal_spec_options(p)
     p.add_argument("--set", required=True, help="comma-separated roots of S")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_dual)
 
-    p = sub.add_parser("normal-form", help="reduce a vector to its orbit label")
+
+def _normal_form_options(p):
     p.add_argument("type")
     _ideal_spec_options(p)
     p.add_argument("--vector", required=True,
@@ -416,43 +412,90 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_normal_form)
 
-    p = sub.add_parser("structure-table", help="Chevalley structure constants")
+
+def _structure_table_options(p):
     p.add_argument("type")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_structure_table)
 
-    p = sub.add_parser("count-anr", help="orbit counts of abelian nilradicals")
+
+def _count_anr_options(p):
     p.add_argument("type")
     p.add_argument("--node", type=int, help="1-based simple-root number")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_count_anr)
 
-    p = sub.add_parser("conjecture-check",
-                       help="order/dimension evidence for one nilradical or maximal ideal")
+
+def _conjecture_check_options(p):
     p.add_argument("type")
     p.add_argument("--node", type=int)
     p.add_argument("--ideal", help="generators of a maximal abelian non-nilradical ideal")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_conjecture_check)
 
-    p = sub.add_parser("hasse", help="DOT digraph of Bruhat covers on the labels")
+
+def _hasse_options(p):
     p.add_argument("type")
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--dot", action="store_true", help="DOT output (the only format)")
     p.set_defaults(fn=_cmd_hasse)
 
-    p = sub.add_parser("paper-suite", help="run the full verification suite")
+
+def _paper_suite_options(p):
+    from . import suite
+
     p.add_argument("--only", help="filter items by number or name substring")
     p.add_argument("--seed", type=int, default=suite.DEFAULT_SEED)
     p.set_defaults(fn=_cmd_paper_suite)
 
+
+# name, help, and the function that adds the subcommand's arguments
+_SUBCOMMANDS = (
+    ("roots", "print the positive-root table", _roots_options),
+    ("ideals", "list abelian ideals", _ideals_options),
+    ("orbits", "orbit labels of one abelian ideal", _orbits_options),
+    ("cascade", "Kostant's cascade of the type", _cascade_options),
+    ("dual", "Pyasetskii dual of one orbit label", _dual_options),
+    ("normal-form", "reduce a vector to its orbit label", _normal_form_options),
+    ("structure-table", "Chevalley structure constants", _structure_table_options),
+    ("count-anr", "orbit counts of abelian nilradicals", _count_anr_options),
+    ("conjecture-check", "order/dimension evidence for one nilradical or maximal ideal",
+     _conjecture_check_options),
+    ("hasse", "DOT digraph of Bruhat covers on the labels", _hasse_options),
+    ("paper-suite", "run the full verification suite", _paper_suite_options),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with the arguments of one subcommand or of all.
+
+    Every subcommand is registered with its help, so the top-level usage,
+    help and errors read the same either way.  Given a command, only that
+    subparser gets its arguments; the others stay bare and must not parse.
+    """
+    parser = argparse.ArgumentParser(
+        prog="borel-orbits",
+        description="B-orbit combinatorics in abelian ideals of a Borel subalgebra")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--numbering", choices=("bourbaki", "vinberg"),
+                        help=f"simple-root numbering convention "
+                             f"(default from ${_NUMBERING_ENV} or bourbaki)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, options in _SUBCOMMANDS:
+        if command in (None, name):
+            options(sub.add_parser(name, help=help_text, parents=[common]))
+        else:
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first argument; anything else there (-h, --help,
+    # an unknown command, none) builds every subcommand's arguments
+    names = {name for name, _, _ in _SUBCOMMANDS}
+    args = build_parser(argv[0] if argv and argv[0] in names else None).parse_args(argv)
     try:
         code = args.fn(args)
         # a reader that closed the pipe early shows up here at the latest

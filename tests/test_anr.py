@@ -9,6 +9,7 @@ from borel_orbits.anr import (
     anr_nodes,
     anr_statistic,
     c_count,
+    closed_form_counts,
     conjecture_check,
     d_count,
     maximal_ideal_report,
@@ -17,14 +18,28 @@ from borel_orbits.anr import (
     w0l_action,
 )
 from borel_orbits.cli import main
-from borel_orbits.ideals import abelian_nilradicals, maximal_abelian_ideals
+from borel_orbits.ideals import abelian_nilradicals, ideal_from_shape, maximal_abelian_ideals
 from borel_orbits.orbits import (
+    label_counts,
     lower_canonical,
     orbit_dims,
     strongly_orth_subsets,
     upper_canonical,
 )
 from borel_orbits.suite import all_types
+
+
+def counter(rs, node):
+    # the memoised counter, the oracle of every closed form: anr_statistic
+    # itself reads the closed forms wherever they apply
+    return label_counts(rs, anr_ideal(rs, node))
+
+
+def closed_form(rs, node):
+    # the counts closed_form_counts finds for a nilradical, checked against the counter
+    counts = closed_form_counts(rs, anr_ideal(rs, node))
+    assert counts == counter(rs, node), (rs.type, node)
+    return counts
 
 
 def test_d_count_values():
@@ -38,9 +53,10 @@ def test_d_count_values():
 
 def test_d_count_against_enumeration():
     rs = build_root_system("D4")
-    table = anr_statistic(rs, 3)
-    assert list(table.counts) == [d_count(4, k) for k in range(3)]
-    assert table.counts[2] == 3
+    labels = strongly_orth_subsets(rs, anr_ideal(rs, 3))
+    sizes = [sum(len(s) == k for s in labels) for k in range(3)]
+    assert sizes == [d_count(4, k) for k in range(3)] == [1, 6, 3]
+    assert anr_statistic(rs, 3).counts == tuple(sizes)
 
 
 def test_c_count_values():
@@ -63,11 +79,12 @@ def test_rectangle_count_values():
 
 
 def test_rectangle_against_enumeration():
-    # the 2x3 rectangle inside A5 (shape 2,2,2 is the 3x2 nilradical)
+    # node 2 of A5 is the 2x4 rectangle
     rs = build_root_system("A5")
-    ideal = anr_ideal(rs, 1)
-    counts = anr_statistic(rs, 1).counts
-    assert list(counts) == [rectangle_count(2, 4, k) for k in range(3)]
+    labels = strongly_orth_subsets(rs, anr_ideal(rs, 1))
+    sizes = [sum(len(s) == k for s in labels) for k in range(3)]
+    assert sizes == [rectangle_count(2, 4, k) for k in range(3)]
+    assert anr_statistic(rs, 1).counts == tuple(sizes)
 
 
 # the counter reaches ranks whose labels are too many to list
@@ -75,18 +92,18 @@ def test_rectangle_against_enumeration():
 
 def test_c_count_closed_form_to_rank_12():
     for n in range(2, 13):
-        counts = anr_statistic(build_root_system(f"C{n}"), n - 1).counts
+        counts = closed_form(build_root_system(f"C{n}"), n - 1)
         assert counts == tuple(c_count(n, k) for k in range(n + 1)), n
 
 
 def test_b_and_d_closed_forms_to_rank_12():
     for n in range(2, 13):
         assert anr_statistic(build_root_system(f"B{n}"), 0).counts == (1, 2 * n - 1, n - 1)
-    for n in range(4, 13):
+    for n in range(3, 13):
         rs = build_root_system(f"D{n}")
         assert anr_statistic(rs, 0).counts == (1, 2 * n - 2, n - 1)
         for node in (n - 2, n - 1):
-            counts = anr_statistic(rs, node).counts
+            counts = closed_form(rs, node)
             assert counts == tuple(d_count(n, k) for k in range(n // 2 + 1)), (n, node)
 
 
@@ -95,16 +112,44 @@ def test_rectangle_closed_form_to_rank_12():
         rs = build_root_system(f"A{n}")
         for node in range(n):
             m, k = node + 1, n - node
-            counts = anr_statistic(rs, node).counts
+            counts = closed_form(rs, node)
             assert counts == tuple(rectangle_count(m, k, j) for j in range(min(m, k) + 1)), \
                 (n, node)
 
 
 def test_twelve_by_twelve_square():
     # OEIS A002720: sum_k k! C(12,k)^2
-    table = anr_statistic(build_root_system("A23"), 11)
-    assert table.counts == tuple(rectangle_count(12, 12, k) for k in range(13))
-    assert table.total == 53_334_454_417
+    counts = closed_form(build_root_system("A23"), 11)
+    assert counts == tuple(rectangle_count(12, 12, k) for k in range(13))
+    assert sum(counts) == 53_334_454_417
+
+
+def test_closed_forms_cover_only_a_c_and_d_spinor_nilradicals():
+    cases = [(f"B{n}", 0) for n in range(2, 8)] + [(f"D{n}", 0) for n in range(3, 8)]
+    cases += [("E6", 0), ("E6", 5), ("E7", 6)]
+    for typ, node in cases:
+        rs = build_root_system(typ)
+        assert closed_form_counts(rs, anr_ideal(rs, node)) is None, (typ, node)
+        assert anr_statistic(rs, node).counts == counter(rs, node)
+    rs = build_root_system("A5")
+    assert closed_form_counts(rs, ideal_from_shape(rs, [3, 3, 1])) is None
+    # the mask decides, not how the ideal was given: shape 3,3,3 is node 3
+    assert closed_form_counts(rs, ideal_from_shape(rs, [3, 3, 3])) == (1, 9, 18, 6)
+    with pytest.raises(ValueError):
+        closed_form_counts(rs, frozenset(range(rs.num_positive)))
+
+
+def test_closed_forms_count_rank_30_and_40_without_the_counter(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the counter ran")
+
+    monkeypatch.setattr(anr, "label_counts", refuse)
+    for typ, node, total in [("A40", 19, 8_281_153_039_765_859_726_341),
+                             ("C30", 29, 75_200_136_212_985_945_619),
+                             ("D30", 29, 606_917_269_909_048_576)]:
+        table = anr_statistic(build_root_system(typ), node)
+        assert table.total == total, typ
+        assert table.counts[0] == 1 and table.counts[-1] > 0
 
 
 def test_counting_enumerates_no_label(monkeypatch, capsys):

@@ -391,6 +391,34 @@ def test_counting_too_many_states_exits_1(capsys, monkeypatch):
     assert code == 0 and out == "208\n"
 
 
+@pytest.mark.parametrize("typ, node, shape", [
+    ("A5", 3, "3,3,3"),
+    ("A9", 4, "6,6,6,6"),
+    ("A23", 12, ",".join(["12"] * 12)),
+])
+def test_shape_of_a_nilradical_counts_as_its_node(capsys, typ, node, shape):
+    # the closed form is found from the ideal's mask, however it was given
+    counts = [run_cli(capsys, "orbits", typ, *spec, "--count")
+              for spec in (("--anr", str(node)), ("--shape", shape))]
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 0 and counts[0][2] == ""
+    rs = build_root_system(typ)
+    ideal = ideals.ideal_from_shape(rs, [int(r) for r in shape.split(",")])
+    assert anr.closed_form_counts(rs, ideal) is not None
+    assert counts[0][1] == f"{sum(orbits.label_counts(rs, ideal))}\n"
+
+
+def test_counting_a_nilradical_at_rank_40_skips_the_counter(capsys, monkeypatch):
+    monkeypatch.setattr(orbits, "MAX_COUNT_STATES", 0)
+    code, out, err = run_cli(capsys, "orbits", "A40", "--anr", "20", "--count")
+    assert (code, out, err) == (0, "8281153039765859726341\n", "")
+    # an ideal with no closed form still goes through the capped counter
+    code, out, err = run_cli(capsys, "orbits", "A40", "--shape", "20,20", "--count")
+    assert code == 1 and out == ""
+    assert err == ("error: counting the orbit labels needs more than 0 memo "
+                   "states; the ideal is too large to count\n")
+
+
 def test_report_too_many_labels_exits_1(capsys, monkeypatch):
     # the E7 nilradical has 208 orbit labels
     monkeypatch.setattr(anr, "MAX_REPORT_LABELS", 207)
@@ -643,6 +671,62 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
         out = capsys.readouterr()
         assert out.out == "" and "usage:" in out.err, argv
+
+
+# help and argparse errors of the parser that built every subcommand's
+# arguments on each call, recorded on the Python version named in the file
+CLI_USAGE = json.loads((GOLDEN / "cli_usage.json").read_text())
+
+
+def run_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return {"argv": list(argv), "code": exc.value.code, "out": out.out, "err": out.err}
+
+
+def test_usage_and_help_match_the_full_parser(capsys, monkeypatch):
+    # -h/--help for the program and every subcommand, unknown and missing
+    # commands, missing arguments and conflicting flags
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [case["argv"] for case in CLI_USAGE["cases"]]
+    assert {argv[0] for argv in argvs if argv[1:] == ["--help"]} == \
+        {name for name, _, _ in cli._SUBCOMMANDS}
+    lazy = [run_usage(capsys, argv) for argv in argvs]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert lazy == [run_usage(capsys, argv) for argv in argvs]
+    if "%d.%d" % sys.version_info[:2] == CLI_USAGE["python"]:
+        assert lazy == CLI_USAGE["cases"]
+
+
+def test_only_the_chosen_subcommand_gets_arguments(capsys, monkeypatch):
+    called = []
+
+    def spy(name, options):
+        def add(p):
+            called.append(name)
+            options(p)
+        return add
+
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", tuple(
+        (name, help_text, spy(name, options)) for name, help_text, options in cli._SUBCOMMANDS))
+    assert run_cli(capsys, "count-anr", "E7", "--node", "7")[0] == 0
+    assert called == ["count-anr"]
+    called.clear()
+    run_usage(capsys, ["--help"])
+    assert called == [name for name, _, _ in cli._SUBCOMMANDS]
+
+
+def test_suite_is_imported_only_for_paper_suite():
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from borel_orbits.cli import main; "
+            "assert main(['count-anr', 'E7']) == 0; "
+            "assert 'borel_orbits.suite' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"E7 alpha_7: 1 27 135 45 | 208\n"
 
 
 @pytest.mark.parametrize("fmt", ["--csv", "--json"])
