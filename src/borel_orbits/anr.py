@@ -34,9 +34,9 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
-from .ideals import AbelianIdeal, _is_maximal, abelian_nilradicals, check_abelian_ideal
+from .ideals import AbelianIdeal, _is_maximal, anr_nodes, check_abelian_ideal, nilradical_mask
 from .orbits import _label_masks, label_counts
-from .root_system import RootSystem, _bits, _check_orth_set, _union
+from .root_system import RootSystem, _bits, _check_orth_set, _set_of, _union
 
 
 def d_count(n: int, k: int) -> int:
@@ -67,20 +67,15 @@ def rectangle_count(m: int, n: int, k: int) -> int:
     return factorial(k) * comb(m, k) * comb(n, k)
 
 
-def anr_nodes(rs: RootSystem) -> List[int]:
-    """0-based simple-root positions carrying an abelian nilradical."""
-    return [node for node, _ in abelian_nilradicals(rs)]
-
-
 @cache
 def anr_ideal(rs: RootSystem, node: int) -> AbelianIdeal:
     """The abelian nilradical at a 0-based node, built once per (system, node)."""
-    for n, ideal in abelian_nilradicals(rs):
-        if n == node:
-            return ideal
-    raise ValueError(
-        f"alpha_{node + 1} is not an abelian-nilradical node of {rs.type}; "
-        f"valid nodes: {[n + 1 for n in anr_nodes(rs)]}")
+    nodes = anr_nodes(rs)
+    if node not in nodes:
+        raise ValueError(
+            f"alpha_{node + 1} is not an abelian-nilradical node of {rs.type}; "
+            f"valid nodes: {[n + 1 for n in nodes]}")
+    return check_abelian_ideal(rs, _set_of(nilradical_mask(rs, node)))
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def closed_form_counts(rs: RootSystem, ideal: Iterable[int]) -> Optional[Tuple[i
     family, n = rs.type.family, rs.rank
     nodes = {"A": range(n), "C": (n - 1,), "D": (n - 2, n - 1)}.get(family, ())
     for node in nodes:
-        if mask == rs.up_masks[rs.simple_indices[node]]:
+        if mask == nilradical_mask(rs, node):
             break
     else:
         return None
@@ -502,6 +497,6 @@ def maximal_ideal_report(rs: RootSystem, ideal: Iterable[int]) -> ConjectureRepo
         raise ValueError("input is not an abelian ideal") from None
     if not _is_maximal(rs, a.mask):
         raise ValueError("input is not a maximal abelian ideal")
-    if any(a == nr for _, nr in abelian_nilradicals(rs)):
+    if any(a.mask == nilradical_mask(rs, node) for node in anr_nodes(rs)):
         raise ValueError("input is an abelian nilradical; use conjecture_check")
     return _build_report(rs, a, None)

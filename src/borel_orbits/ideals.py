@@ -142,20 +142,28 @@ def _is_maximal(rs: RootSystem, a: int) -> bool:
     return not c & ~_union(rs.down_shift_masks, c) & ~_union(rs.sum_masks, a)
 
 
+def anr_nodes(rs: RootSystem) -> List[int]:
+    """0-based simple-root positions carrying an abelian nilradical (coefficient 1 in theta)."""
+    return [node for node, c in enumerate(rs.theta) if c == 1]
+
+
+def nilradical_mask(rs: RootSystem, node: int) -> int:
+    """The mask of the roots at or above alpha_node in dominance order.
+
+    At a node of ``anr_nodes`` those are the roots whose coefficient at the
+    node is 1, the nilradical of the corresponding maximal parabolic.
+    """
+    return rs.up_masks[rs.simple_indices[node]]
+
+
 def abelian_nilradicals(rs: RootSystem) -> List[Tuple[int, AbelianIdeal]]:
     """(node, ideal) for each simple root with coefficient 1 in theta.
 
     Nodes are 0-based positions; the ideal is the nilradical of the
-    corresponding maximal parabolic, all roots whose coefficient at the
-    node equals 1.
+    corresponding maximal parabolic (:func:`nilradical_mask`).
     """
-    out = []
-    for node in range(rs.rank):
-        if rs.theta[node] != 1:
-            continue
-        ideal = frozenset(i for i, r in enumerate(rs.positive_roots) if r[node] == 1)
-        out.append((node, check_abelian_ideal(rs, ideal)))
-    return out
+    return [(node, check_abelian_ideal(rs, _set_of(nilradical_mask(rs, node))))
+            for node in anr_nodes(rs)]
 
 
 def ideal_from_shape(rs: RootSystem, rows: Iterable[int]) -> frozenset:

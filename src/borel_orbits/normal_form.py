@@ -38,7 +38,8 @@ from . import orbits
 from .chevalley import StructureTable, _exp_action, _fractions, _pair, build_structure_table
 from .ideals import check_abelian_ideal
 from .intlin import nth_root_fraction, smith_normal_form
-from .root_system import RootSystem, _bits, _layer, _set_of, _union, non_orthogonal_pair
+from .root_system import (RootSystem, _bits, _max_layer, _min_layer, _set_of, _union,
+                          non_orthogonal_pair)
 
 
 _ONE = Fraction(1)
@@ -162,15 +163,15 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
     # torus character
     primal = side == "primal"
     if primal:
-        sign, rows, shifts, hulls = 1, rs.down_masks, rs.up_shift_masks, rs.up_masks
+        sign, layer_of, shifts, hulls = 1, _min_layer, rs.up_shift_masks, rs.up_masks
     else:
-        sign, rows, shifts, hulls = -1, rs.up_masks, rs.down_shift_masks, rs.down_masks
+        sign, layer_of, shifts, hulls = -1, _max_layer, rs.down_shift_masks, rs.down_masks
     what = "" if primal else "dual "
     steps = []
     acc: list = []  # S in the order its layers were peeled
     s = 0
     while True:
-        layer = _layer(rows, mask & ~s)
+        layer = layer_of(rs, mask & ~s)
         if not layer:
             break
         acc.extend(_bits(layer))
@@ -186,7 +187,7 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             targets = shifted & mask
             if not targets:
                 break
-            nu = _bits(_layer(rows, targets))[0]
+            nu = _bits(layer_of(rs, targets))[0]
             # nu = gamma + delta (primal) or gamma - delta (dual), gamma in S
             for gamma in acc:
                 delta = rs.diff_index[nu][gamma] if primal else rs.diff_index[gamma][nu]

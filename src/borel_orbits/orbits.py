@@ -11,8 +11,10 @@ derived sets are
 with orbit dimensions #S + #M_S and #S + #M*_S.  The shifts are ORs of
 per-root bitmasks.  The lower and upper canonical sets, Kostant's
 cascade and the combinatorial Pyasetskii dual are all one layer peeling
-(_peel): root_system._layer keeps the minimal roots with the rows
-``down_masks`` and the maximal roots with ``up_masks``.
+(_peel): root_system._min_layer and _max_layer keep the minimal and the
+maximal roots in one step per root kept, since roots are numbered by
+height: the lowest (highest) root left is minimal (maximal), and the
+roots above (below) it are dropped unvisited.
 
 One row generator, _table_rows, gives S, M_S, M*_S and the dual as masks
 for every label of an ideal; the orbit tables (``orbits --csv``, the text
@@ -20,9 +22,12 @@ table with ``--dims``/``--dual``) and pyasetskii_map read it.  No two
 labels share J_S, but many share what is left of J_S after its first
 layer, so the generator peels each J_S's first layer itself and memoises
 the rest of the dual peel on that remainder, in a dict local to the call
-(on C8 node 8, 2,888 distinct tails for 7,193 labels).  OrbitRecords, with
-J_S and sigma_S, serve ``orbits --json`` and the library API one label at
-a time.
+(on C8 node 8, 2,888 distinct tails for 7,193 labels).  M_S and M*_S are
+ORs over the bits of S; reading them off the row of S minus its top root,
+seen earlier, was no faster.  The rows stay masks: every dual is itself
+a label, so the CLI builds one label string per mask and reads it for
+both columns.  OrbitRecords, with J_S and sigma_S, serve ``orbits --json``
+and the library API one label at a time.
 
 The labels are counted by size without being built (label_counts),
 with a memo of at most MAX_COUNT_STATES masks; enumerating them
@@ -41,8 +46,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import weyl
 from .ideals import AbelianIdeal, check_abelian_ideal, is_abelian, is_validated
-from .root_system import (RootSystem, _bits, _check_orth_set, _layer, _mask_of, _set_of, _union,
-                          non_orthogonal_pair)
+from .root_system import (RootSystem, _bits, _check_orth_set, _mask_of, _max_layer, _min_layer,
+                          _set_of, _union, non_orthogonal_pair)
 
 
 # Enumeration keeps every label as a frozenset: 538,078 of them (C11) peak
@@ -165,10 +170,10 @@ def _label(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int,
 def _table_rows(rs: RootSystem, a: AbelianIdeal,
                 labels: Iterable[int]) -> Iterator[Tuple[int, int, int, int]]:
     """S, M_S, M*_S and the dual as masks, for each label mask of the validated ideal a."""
-    # the bit loops of _union and _layer are written out, not called: this
-    # is an orbit table's hottest loop, and calling them makes it about 15%
-    # slower on C8 node 8
-    up_shifts, down_shifts, rows = rs.up_shift_masks, rs.down_shift_masks, rs.up_masks
+    # the bit loops of _union and _max_layer are written out, not called:
+    # this is an orbit table's hottest loop, and calling them makes it about
+    # 15% slower on C8 node 8 and C9 node 9 (interleaved in-process timings)
+    up_shifts, down_shifts, downs = rs.up_shift_masks, rs.down_shift_masks, rs.down_masks
     tails = {0: 0}
     for ss in labels:
         m_up = m_down = 0
@@ -185,11 +190,9 @@ def _table_rows(rs: RootSystem, a: AbelianIdeal,
         rest = j
         while rest:
             i = rest.bit_length() - 1
-            bit = 1 << i
-            if rows[i] & j == bit:
-                layer |= bit
-                shift |= down_shifts[i]
-            rest ^= bit
+            layer |= 1 << i
+            shift |= down_shifts[i]
+            rest &= ~downs[i]
         yield ss, m_up, m_down & a.mask, layer | _peel(rs, j & ~(layer | shift), False, tails)
 
 
@@ -204,14 +207,13 @@ def _peel(rs: RootSystem, carrier: int, up: bool, memo: Optional[Dict[int, int]]
     # remaining stays inside the carrier, so the down shift needs no bound.
     # memo maps each mask met on the way to its peel, for one direction;
     # a caller that peels many carriers passes the same dict each time
-    rows, shifts = ((rs.down_masks, rs.up_shift_masks) if up
-                    else (rs.up_masks, rs.down_shift_masks))
+    layer_of, shifts = (_min_layer, rs.up_shift_masks) if up else (_max_layer, rs.down_shift_masks)
     if memo is None:
         memo = {0: 0}
     chain = []
     remaining = carrier
     while remaining not in memo:
-        layer = _layer(rows, remaining)
+        layer = layer_of(rs, remaining)
         chain.append((remaining, layer))
         remaining &= ~(layer | _union(shifts, layer))
     result = memo[remaining]

@@ -385,10 +385,23 @@ def _build_cached(family: str, rank: int) -> RootSystem:
     return RootSystem(SimpleType(family, rank))
 
 
-def build_root_system(typ) -> RootSystem:
-    """Build (or fetch the cached) root system of a simple type."""
+def _build_parsed(typ) -> RootSystem:
     t = SimpleType.parse(typ)
     return _build_cached(t.family, t.rank)
+
+
+# memoised on the argument as given, so a caller that names its type
+# thousands of times parses each spelling once
+_build_named = lru_cache(maxsize=256)(_build_parsed)
+
+
+def build_root_system(typ) -> RootSystem:
+    """Build (or fetch the cached) root system of a simple type."""
+    # only strings and SimpleTypes go through the memo: anything else, an
+    # unhashable list say, reaches the parse and its ValueError
+    if isinstance(typ, (str, SimpleType)):
+        return _build_named(typ)
+    return _build_parsed(typ)
 
 
 def _parse_roots(rs, text: str):
@@ -489,30 +502,44 @@ def dominance_leq(rs: RootSystem, i: int, j: int) -> bool:
     return bool(rs.up_masks[i] & (1 << j))
 
 
-def _layer(rows, mask: int) -> int:
-    """The roots of the mask whose row meets the mask only in themselves.
+def _max_layer(rs: RootSystem, mask: int) -> int:
+    """The roots of the mask with no other root of the mask above them.
 
-    With the rows ``rs.down_masks`` that is the min layer, with ``rs.up_masks`` the max layer.
+    Roots are numbered by height, so the highest root left is maximal, and
+    the roots below it (``down_masks``) are dropped unvisited: one step per
+    root of the layer, not per root of the mask.
     """
+    downs = rs.down_masks
     out = 0
-    rest = mask
-    while rest:
-        i = rest.bit_length() - 1
-        bit = 1 << i
-        if rows[i] & mask == bit:
-            out |= bit
-        rest ^= bit
+    while mask:
+        i = mask.bit_length() - 1
+        out |= 1 << i
+        mask &= ~downs[i]
+    return out
+
+
+def _min_layer(rs: RootSystem, mask: int) -> int:
+    """The roots of the mask with no other root of the mask below them.
+
+    As _max_layer, from the lowest root up, dropping the roots above it.
+    """
+    ups = rs.up_masks
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= low
+        mask &= ~ups[low.bit_length() - 1]
     return out
 
 
 def min_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
     """The roots with no other of the roots below them in dominance order."""
-    return _set_of(_layer(rs.down_masks, _mask_of(roots)))
+    return _set_of(_min_layer(rs, _mask_of(roots)))
 
 
 def max_elements(rs: RootSystem, roots: Iterable[int]) -> frozenset:
     """The roots with no other of the roots above them in dominance order."""
-    return _set_of(_layer(rs.up_masks, _mask_of(roots)))
+    return _set_of(_max_layer(rs, _mask_of(roots)))
 
 
 # Bourbaki node index for each Vinberg-Onishchik node index, E types only.

@@ -18,7 +18,12 @@ from borel_orbits.anr import (
     w0l_action,
 )
 from borel_orbits.cli import main
-from borel_orbits.ideals import abelian_nilradicals, ideal_from_shape, maximal_abelian_ideals
+from borel_orbits.ideals import (
+    abelian_nilradicals,
+    ideal_from_shape,
+    maximal_abelian_ideals,
+    nilradical_mask,
+)
 from borel_orbits.orbits import (
     label_counts,
     lower_canonical,
@@ -195,11 +200,11 @@ def test_nilradical_is_built_once_per_node(monkeypatch):
     rs = build_root_system("C6")
     calls = []
 
-    def counted(rs_):
-        calls.append(rs_.type)
-        return abelian_nilradicals(rs_)
+    def counted(rs_, node):
+        calls.append((rs_.type, node))
+        return nilradical_mask(rs_, node)
 
-    monkeypatch.setattr(anr, "abelian_nilradicals", counted)
+    monkeypatch.setattr(anr, "nilradical_mask", counted)
     anr_ideal.cache_clear()
     labels = strongly_orth_subsets(rs, anr_ideal(rs, 5))
     for s in labels:
@@ -211,6 +216,28 @@ def test_nilradical_is_built_once_per_node(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="alpha_1 is not an abelian-nilradical node"):
             anr_ideal(rs, 0)
+
+
+# every type of rank <= 8, and two types far above the listing limits
+@pytest.mark.parametrize("typ", all_types(8) + ["A40", "D30"])
+def test_nilradical_rows_match_coefficient_one_roots(typ):
+    # nilradical_mask reads one row of up_masks; the nilradical of a node is
+    # defined as the roots whose coefficient at the node is 1
+    rs = build_root_system(typ)
+    nodes = [node for node in range(rs.rank) if rs.theta[node] == 1]
+    assert anr_nodes(rs) == nodes
+    listed = abelian_nilradicals(rs)
+    assert [node for node, _ in listed] == nodes
+    anr_ideal.cache_clear()
+    for node, ideal in listed:
+        defined = frozenset(i for i, r in enumerate(rs.positive_roots) if r[node] == 1)
+        assert nilradical_mask(rs, node) == ideal.mask == sum(1 << i for i in defined)
+        built = anr_ideal(rs, node)
+        assert built == ideal == defined and built.mask == ideal.mask and built.rs is rs
+    for node in set(range(-1, rs.rank + 1)) - set(nodes):
+        with pytest.raises(ValueError, match=f"alpha_{node + 1} is not an abelian-nilradical "
+                                             f"node of {rs.type}; valid nodes: "):
+            anr_ideal(rs, node)
 
 
 def test_symmetry_bijection_c2():

@@ -10,6 +10,7 @@ import pytest
 from borel_orbits import anr, build_root_system, cli, ideals, orbits, suite, weyl
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import AbelianIdeal, check_abelian_ideal
+from borel_orbits.root_system import _bits
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -203,7 +204,7 @@ def test_json_batches_write_the_bytes_of_one_dump(capsys, monkeypatch, pieces):
     ideal = anr.anr_ideal(rs, 3)
     records = [orbits.orbit_record(rs, ideal, s).to_json(rs)
                for s in orbits.strongly_orth_subsets(rs, ideal)]
-    monkeypatch.setattr(cli, "_JSON_PIECES", pieces)
+    monkeypatch.setattr(cli, "_BATCH", pieces)
     for data in (anr.conjecture_check(rs, 3).to_json(rs), records, [], {}):
         assert cli._print_json(data) == 0
         assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -729,21 +730,67 @@ def test_suite_is_imported_only_for_paper_suite():
     assert proc.stdout == b"E7 alpha_7: 1 27 135 45 | 208\n"
 
 
-@pytest.mark.parametrize("fmt", ["--csv", "--json"])
+@pytest.mark.parametrize("fmt", [["--csv"], ["--json"], ["--dims", "--dual"], []],
+                         ids=["--csv", "--json", "--dims --dual", "plain"])
 def test_closed_pipe_exits_quietly(fmt):
     # a reader that stops after one line, as `| head -1` does; the output
     # is far larger than a pipe's buffer, so the writer meets the closed pipe
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "borel_orbits", "orbits", "C8", "--anr", "8", fmt],
+        [sys.executable, "-m", "borel_orbits", "orbits", "C8", "--anr", "8", *fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
-    assert first in (b"orth_set,size,dim_in_a,dim_in_a_star,dual\n", b"[\n")
+    assert first in (b"orth_set,size,dim_in_a,dim_in_a_star,dual\n", b"[\n",
+                     b"C8, ideal of dim 36: 7193 orbits\n")
     assert err == b""
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+def test_orbit_listings_across_batches(capsys, monkeypatch, batch):
+    # every orbit listing, written a few lines per batch, against one line
+    # per row built from the row generator and the label strings
+    rs = build_root_system("A5")
+    ideal = check_abelian_ideal(rs, ideals.ideal_from_shape(rs, [3, 3, 1]))
+    labels = orbits._label_masks(rs, ideal)
+    rows = list(orbits._table_rows(rs, ideal, labels))
+
+    def names(mask):
+        return cli._labels(rs, _bits(mask))
+
+    def dims(ss, m_up, m_down):
+        k = ss.bit_count()
+        return k, k + m_up.bit_count(), k + m_down.bit_count()
+
+    head = f"A5, ideal of dim 7: {len(labels)} orbits\n"
+    expected = {
+        (): head + "".join(f"  {{{names(ss)}}}\n" for ss in labels),
+        ("--csv",): "orth_set,size,dim_in_a,dim_in_a_star,dual\n" + "".join(
+            f'"{names(ss)}",{k},{a},{b},"{names(d)}"\n'
+            for ss, up, down, d in rows for k, a, b in [dims(ss, up, down)]),
+        ("--dims", "--dual"): head + "".join(
+            f"  {{{names(ss)}}}  dim {a}, dual dim {b}  dual {{{names(d)}}}\n"
+            for ss, up, down, d in rows for _, a, b in [dims(ss, up, down)]),
+        ("--json",): json.dumps([orbits.orbit_record(rs, ideal, s).to_json(rs)
+                                 for s in orbits.strongly_orth_subsets(rs, ideal)],
+                                indent=2, sort_keys=True) + "\n",
+    }
+    writes = []
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    monkeypatch.setattr(sys.stdout, "write", lambda text, write=sys.stdout.write:
+                        writes.append(text) or write(text))
+    for fmt, text in expected.items():
+        writes.clear()
+        code, out, err = run_cli(capsys, "orbits", "A5", "--shape", "3,3,1", *fmt)
+        assert (code, out, err) == (0, text, "")
+        if "--json" not in fmt:
+            # the header and one line per label, batch lines to a write
+            n = len(labels) + 1
+            assert [w.count("\n") for w in writes] == \
+                [batch] * (n // batch) + [n % batch] * (n % batch > 0)
 
 
 def test_paper_suite_filter(capsys):

@@ -13,6 +13,7 @@ from borel_orbits import (
     min_elements,
     strongly_orthogonal,
 )
+from borel_orbits import root_system
 from borel_orbits.ideals import enumerate_abelian_ideals, ideal_from_shape
 from borel_orbits.root_system import non_orthogonal_pair
 from borel_orbits.suite import all_types
@@ -29,6 +30,30 @@ def test_simple_type_validation():
     for bad in ("D2", "E5", "F3", "G3", "H4", "A0"):
         with pytest.raises(ValueError):
             SimpleType.parse(bad)
+
+
+def test_build_root_system_parses_each_spelling_once(monkeypatch):
+    rs = build_root_system("C8")
+    parsed = []
+    parse = SimpleType.parse.__func__
+
+    def counted(cls, text):
+        parsed.append(text)
+        return parse(cls, text)
+
+    monkeypatch.setattr(SimpleType, "parse", classmethod(counted))
+    root_system._build_named.cache_clear()
+    spellings = ("C8", "c8", " C 8 ", SimpleType("C", 8))
+    for typ in spellings * 3:
+        assert build_root_system(typ) is rs
+    assert parsed == list(spellings)
+    # a bad spelling is not cached: it is parsed and refused on every call,
+    # an unhashable one included
+    bads = ("D2", "H4", "C", "", "C 8 x", ["C", 8])
+    for bad in bads * 2:
+        with pytest.raises(ValueError, match="cannot parse|unknown family|invalid rank"):
+            build_root_system(bad)
+    assert parsed[len(spellings):] == list(bads * 2)
 
 
 @pytest.mark.parametrize("typ,count", [
@@ -224,6 +249,9 @@ def test_root_pair_tables_match_coefficient_definitions(typ):
     # down_masks is up_masks transposed
     assert rs.down_masks == tuple(bits(j for j, up in enumerate(rs.up_masks) if up >> i & 1)
                                   for i in range(len(roots)))
+    # the layer helpers need the numbering to extend the dominance order:
+    # no root above root i has a smaller index
+    assert all(up >> i << i == up for i, up in enumerate(rs.up_masks))
     assert rs.orth_masks == tuple(
         bits(j for j, rj in enumerate(roots) if j != i
              and not is_root(rs, [a + b for a, b in zip(ri, rj)])
