@@ -39,6 +39,8 @@ from .orbits import (
     DimEstimate,
     OrbitRecord,
     borel_index,
+    c_count,
+    d_count,
     dim_estimate_report,
     kostant_cascade,
     krull_dims,
@@ -49,6 +51,7 @@ from .orbits import (
     pyasetskii_dual,
     pyasetskii_map,
     pyasetskii_report,
+    rectangle_count,
     residual_set,
     shift_down,
     shift_up,
@@ -74,11 +77,8 @@ from .anr import (
     CountTable,
     anr_nodes,
     anr_statistic,
-    c_count,
     conjecture_check,
-    d_count,
     maximal_ideal_report,
-    rectangle_count,
     symmetry_bijection,
     w0l_action,
 )

@@ -1,13 +1,11 @@
-"""Abelian nilradicals: closed-form orbit counts and the order-conjecture checker.
+"""Abelian nilradicals: orbit count tables and the order-conjecture checker.
 
-The counting formulas cover the classical series (rectangles for type A,
-a pfaffian-style count d_{n,k} for the spinor nilradicals of D_n, c_{n,k}
-for the symplectic one of C_n).  closed_form_counts recognises these
-nilradicals by their root mask, whichever way the ideal was given, and
-the counts of every other ideal (B_n and D_n node 1, E6, E7) come from
-the counter orbits.label_counts.  The checker gathers evidence for the
-conjectured description of dual-orbit closures through Weyl involutions;
-it reports violations, it never proves anything.
+Every count comes from orbits.label_counts, which decides between the
+closed forms (re-exported here) and the memoised counter.  The checker
+reads its labels and dimensions from orbits' one walk and row generator
+and gathers evidence for the conjectured description of dual-orbit
+closures through Weyl involutions; it reports violations, it never
+proves anything.
 
 The checker orders the distinct involutions sigma_S under Bruhat as
 integer bitsets, one lower-set mask per involution, visited by
@@ -29,42 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
 from .ideals import AbelianIdeal, _is_maximal, anr_nodes, check_abelian_ideal, nilradical_mask
-from .orbits import _label_masks, label_counts
-from .root_system import RootSystem, _bits, _check_orth_set, _set_of, _union
-
-
-def d_count(n: int, k: int) -> int:
-    """Orbits with k-element labels in the spinor nilradical of D_n."""
-    if n < 0 or k < 0:
-        raise ValueError("d_count needs nonnegative arguments")
-    if 2 * k > n:
-        return 0
-    return comb(n, 2 * k) * factorial(2 * k) // (factorial(k) * 2 ** k)
-
-
-def c_count(n: int, k: int) -> int:
-    """Orbits with k-element labels in the symplectic nilradical of C_n."""
-    if n < 0 or k < 0:
-        raise ValueError("c_count needs nonnegative arguments")
-    if k > n:
-        return 0
-    return sum(comb(n - 2 * t, k - t) * d_count(n, t)
-               for t in range(0, min(k, n - k) + 1))
-
-
-def rectangle_count(m: int, n: int, k: int) -> int:
-    """Orbits with k-element labels in an m-by-n rectangular type-A ideal."""
-    if m < 1 or n < 1:
-        raise ValueError("rectangle sides must be positive")
-    if k < 0 or k > min(m, n):
-        return 0
-    return factorial(k) * comb(m, k) * comb(n, k)
+# the closed forms are re-exported for callers that import them from here
+from .orbits import (_label_masks, _table_rows, c_count, closed_form_counts, d_count,
+                     label_counts, rectangle_count)
+from .root_system import RootSystem, _bits, _check_orth_set, _set_of
 
 
 @cache
@@ -92,40 +63,8 @@ class CountTable:
                 "counts": list(self.counts), "total": self.total}
 
 
-def closed_form_counts(rs: RootSystem, ideal: Iterable[int]) -> Optional[Tuple[int, ...]]:
-    """Counts of orbit labels by size from a closed form, or None if none applies.
-
-    The abelian ideal's mask is compared with the nilradicals that have
-    one: every node of A_n (the rectangles, Melnikov's rook placements),
-    node n of C_n (c_{n,k}) and the spinor nodes n-1, n of D_n
-    (d_{n,k}).  The nilradical at node p is every root at or above
-    alpha_p, one row of ``up_masks``.  The counts are those of
-    orbits.label_counts: entry k for the k-element labels, the last one
-    nonzero.
-    """
-    mask = check_abelian_ideal(rs, ideal).mask
-    family, n = rs.type.family, rs.rank
-    nodes = {"A": range(n), "C": (n - 1,), "D": (n - 2, n - 1)}.get(family, ())
-    for node in nodes:
-        if mask == nilradical_mask(rs, node):
-            break
-    else:
-        return None
-    if family == "A":
-        m, k = node + 1, n - node
-        return tuple(rectangle_count(m, k, j) for j in range(min(m, k) + 1))
-    if family == "C":
-        return tuple(c_count(n, k) for k in range(n + 1))
-    return tuple(d_count(n, k) for k in range(n // 2 + 1))
-
-
-def orbit_counts(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, ...]:
-    """Counts of orbit labels by size: the closed form if one applies, else the counter."""
-    return closed_form_counts(rs, ideal) or label_counts(rs, ideal)
-
-
 def anr_statistic(rs: RootSystem, node: int) -> CountTable:
-    """Counts of orbit labels by size, from closed_form_counts or orbits.label_counts.
+    """Counts of orbit labels by size, from orbits.label_counts.
 
     No label is built.  A nilradical with a closed form (A_n, C_n node
     n, the D_n spinor nodes) is counted at any rank; the others go
@@ -133,7 +72,7 @@ def anr_statistic(rs: RootSystem, node: int) -> CountTable:
     orbits.MAX_COUNT_STATES.
     """
     ideal = anr_ideal(rs, node)
-    counts = orbit_counts(rs, ideal)
+    counts = label_counts(rs, ideal)
     table = CountTable(str(rs.type), node, counts, sum(counts))
     if table.counts[0] != 1:
         raise AssertionError("there must be exactly one empty label")
@@ -389,7 +328,7 @@ def _bruhat_lower_sets(rs: RootSystem, labels: List[Tuple[int, ...]],
 
 
 def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> ConjectureReport:
-    count = sum(orbit_counts(rs, ideal))
+    count = sum(label_counts(rs, ideal))
     if count > MAX_REPORT_LABELS:
         raise ValueError(
             f"the ideal has {count} orbit labels, more than the {MAX_REPORT_LABELS} "
@@ -400,8 +339,8 @@ def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> C
     report = ConjectureReport(type=str(rs.type), ideal=tuple(sorted(ideal)), node=node)
     sigmas = [weyl._sigma_element(rs, s) for s in labels]
     lengths = [weyl.length(rs, w) for w in sigmas]
-    dims = [m.bit_count() + (_union(rs.down_shift_masks, m) & ideal.mask).bit_count()
-            for m in masks]
+    dims = [ss.bit_count() + m_down.bit_count()
+            for ss, _, m_down, _, _ in _table_rows(rs, ideal, masks)]
     for s, ell, dim in zip(labels, lengths, dims):
         total = ell + len(s)
         parity_ok = total % 2 == 0

@@ -29,6 +29,7 @@ from .ideals import (
 )
 from .root_system import (
     _parse_roots,
+    _split_roots,
     build_root_system,
     node_from_bourbaki,
     node_to_bourbaki,
@@ -80,7 +81,7 @@ def _resolve_ideal(rs, args) -> frozenset:
         ideal = ideal_generated(rs, _parse_roots(rs, args.ideal))
         what = "the generated ideal"
     else:
-        rows = [int(x) for x in args.shape.split(",") if x.strip()]
+        rows = _shape_rows(args.shape)
         ideal = ideal_from_shape(rs, rows)
         what = f"the shape {rows} ideal"
     try:
@@ -88,6 +89,10 @@ def _resolve_ideal(rs, args) -> frozenset:
     except ValueError:
         # both constructions are upward closed, so only abelianness can fail
         raise ValueError(f"{what} is not abelian") from None
+
+
+def _shape_rows(text: str) -> list:
+    return [int(x) for x in text.split(",") if x.strip()]
 
 
 def _ideal_spec_options(p):
@@ -123,15 +128,15 @@ def _labels(rs, roots):
 
 def _parse_vector(rs, text: str) -> dict:
     out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _split_roots(text):
         if ":" not in part:
             raise ValueError(f"vector entry {part!r} is not of the form root:value")
         token, _, value = part.rpartition(":")
+        root = rs.parse_root(token)
+        if root in out:
+            raise ValueError(f"vector entry {part!r} repeats the root {rs.root_label(root)}")
         try:
-            out[rs.parse_root(token.strip())] = Fraction(value.strip())
+            out[root] = Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"vector entry {part!r} has a zero denominator") from None
     return out
@@ -162,9 +167,7 @@ def _cmd_roots(args) -> int:
 def _cmd_ideals(args) -> int:
     rs = build_root_system(args.type)
     if args.shape is not None:
-        rows = [int(x) for x in args.shape.split(",") if x.strip()]
-        ideal = ideal_from_shape(rs, rows)
-        items = [("shape " + args.shape, ideal)]
+        items = [("shape " + args.shape, ideal_from_shape(rs, _shape_rows(args.shape)))]
     elif args.anr:
         items = [(f"alpha_{_node_out(rs, args, node)}", ideal)
                  for node, ideal in abelian_nilradicals(rs)]
@@ -190,12 +193,12 @@ def _cmd_orbits(args) -> int:
     rs = build_root_system(args.type)
     ideal = _resolve_ideal(rs, args)
     if args.count:
-        print(sum(anr.orbit_counts(rs, ideal)))
+        print(sum(orbits.label_counts(rs, ideal)))
         return 0
-    if args.json:
-        return _print_json([orbits.orbit_record(rs, ideal, s).to_json(rs)
-                            for s in orbits.strongly_orth_subsets(rs, ideal)])
     labels = orbits._label_masks(rs, ideal)
+    if args.json:
+        return _print_json([orbits._record(rs, row).to_json(rs)
+                            for row in orbits._table_rows(rs, ideal, labels)])
     head = ("orth_set,size,dim_in_a,dim_in_a_star,dual" if args.csv
             else f"{rs.type}, ideal of dim {len(ideal)}: {len(labels)} orbits")
     _write(chain([head + "\n"], _orbit_lines(rs, ideal, labels, args)))
@@ -239,7 +242,7 @@ def _orbit_lines(rs, ideal, labels, args) -> Iterator[str]:
     # every dual is itself a label, so each string serves as some row's S and
     # as the dual of others; the memo does not assume one row per dual
     names = _LabelNames(rs)
-    for ss, m_up, m_down, dual in orbits._table_rows(rs, ideal, labels):
+    for ss, m_up, m_down, _, dual in orbits._table_rows(rs, ideal, labels):
         k = ss.bit_count()
         dim_a, dim_star = k + m_up.bit_count(), k + m_down.bit_count()
         if args.csv:

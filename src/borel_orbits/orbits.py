@@ -16,36 +16,38 @@ maximal roots in one step per root kept, since roots are numbered by
 height: the lowest (highest) root left is minimal (maximal), and the
 roots above (below) it are dropped unvisited.
 
-One row generator, _table_rows, gives S, M_S, M*_S and the dual as masks
-for every label of an ideal; the orbit tables (``orbits --csv``, the text
-table with ``--dims``/``--dual``) and pyasetskii_map read it.  No two
-labels share J_S, but many share what is left of J_S after its first
-layer, so the generator peels each J_S's first layer itself and memoises
-the rest of the dual peel on that remainder, in a dict local to the call
+One row generator, _table_rows, gives S, M_S, M*_S, J_S and the dual as
+masks for every label of an ideal, and every per-label fact is read from
+it: the orbit tables, the records of ``orbits --json`` and orbit_record
+(one builder, _record), pyasetskii_map, the conjecture report, and the
+single-label functions through _label.  No two labels share J_S, but
+many share what is left of J_S after its first layer, so the generator
+peels each J_S's first layer itself and memoises the rest of the dual
+peel on that remainder, in a dict local to the call
 (on C8 node 8, 2,888 distinct tails for 7,193 labels).  M_S and M*_S are
 ORs over the bits of S; reading them off the row of S minus its top root,
 seen earlier, was no faster.  The rows stay masks: every dual is itself
 a label, so the CLI builds one label string per mask and reads it for
-both columns.  OrbitRecords, with J_S and sigma_S, serve ``orbits --json``
-and the library API one label at a time.
+both columns.
 
-The labels are counted by size without being built (label_counts),
-with a memo of at most MAX_COUNT_STATES masks; enumerating them
-(strongly_orth_subsets) is for callers that need the labels themselves,
-and refuses an ideal with more than MAX_LABELS.  The nilradicals with a
-closed form (type A, C_n node n, the D_n spinor nodes) are counted by
-anr.closed_form_counts instead; the CLI and the conjecture report read
-it first, so only other ideals reach the counter and its cap.
+The labels are counted by size without being built (label_counts): the
+nilradicals with a closed form (type A, C_n node n, the D_n spinor
+nodes), recognised by root mask, at any rank; every other ideal by the
+memoised counter _count_labels, which holds at most MAX_COUNT_STATES
+masks.  Enumerating them (strongly_orth_subsets) is for callers that need
+the labels themselves, and refuses an ideal with more than MAX_LABELS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb, factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import weyl
-from .ideals import AbelianIdeal, check_abelian_ideal, is_abelian, is_validated
+from .ideals import (AbelianIdeal, check_abelian_ideal, is_abelian, is_validated,
+                     nilradical_mask)
 from .root_system import (RootSystem, _bits, _check_orth_set, _mask_of, _max_layer, _min_layer,
                           _set_of, _union, non_orthogonal_pair)
 
@@ -58,9 +60,9 @@ MAX_LABELS = 1 << 20
 # 290 B each, so this caps it near 300 MB.  The k x k square in A_{2k-1}
 # needs about 2^k k^2 / 4 states: k = 14 (about 800,000) is counted, and
 # k = 15 is refused here.  The nilradicals with a closed form, such as that
-# square, never reach the counter through the CLI; what still reaches the
-# cap are other type-A shapes of that size (the 15 x 15 square less one
-# cell in A29 is refused after about 4 s at 280 MB on a 2-vCPU Xeon).
+# square, never reach the counter; other type-A shapes of that size do (the
+# 15 x 15 square less one cell in A29 is refused after about 4 s at 280 MB
+# on a 2-vCPU Xeon).
 MAX_COUNT_STATES = 1 << 20
 
 
@@ -68,20 +70,76 @@ def label_counts(rs: RootSystem, ideal: Iterable[int]) -> Tuple[int, ...]:
     """Number of strongly orthogonal subsets of an abelian ideal, by size.
 
     Entry k counts the k-element subsets; entry 0 is the empty set and
-    the last entry is nonzero.  None of the subsets is built: with bit b
-    the lowest bit of an allowed-root mask m, the counting polynomial
-    satisfies f(m) = f(m - b) + x f((m - b) & orth(b)), memoised on m for
+    the last entry is nonzero.  None of the subsets is built.  A
+    nilradical with a closed form (closed_form_counts) is counted at any
+    rank; for any other ideal, with bit b the lowest bit of an allowed-root
+    mask m, f(m) = f(m - b) + x f((m - b) & orth(b)) is memoised on m for
     this call only, and a ValueError is raised once it holds more than
     MAX_COUNT_STATES masks.  The roots are numbered in the order of their
     coefficient tuples, which keeps the number of distinct masks small
     (139,264 for the 12x12 rectangle in A23, against 4.2M in root-index
     order).
     """
-    return _count_labels(rs, check_abelian_ideal(rs, ideal))
+    a = check_abelian_ideal(rs, ideal)
+    return closed_form_counts(rs, a) or _count_labels(rs, a)
+
+
+def d_count(n: int, k: int) -> int:
+    """Orbits with k-element labels in the spinor nilradical of D_n."""
+    if n < 0 or k < 0:
+        raise ValueError("d_count needs nonnegative arguments")
+    if 2 * k > n:
+        return 0
+    return comb(n, 2 * k) * factorial(2 * k) // (factorial(k) * 2 ** k)
+
+
+def c_count(n: int, k: int) -> int:
+    """Orbits with k-element labels in the symplectic nilradical of C_n."""
+    if n < 0 or k < 0:
+        raise ValueError("c_count needs nonnegative arguments")
+    if k > n:
+        return 0
+    return sum(comb(n - 2 * t, k - t) * d_count(n, t)
+               for t in range(0, min(k, n - k) + 1))
+
+
+def rectangle_count(m: int, n: int, k: int) -> int:
+    """Orbits with k-element labels in an m-by-n rectangular type-A ideal."""
+    if m < 1 or n < 1:
+        raise ValueError("rectangle sides must be positive")
+    if k < 0 or k > min(m, n):
+        return 0
+    return factorial(k) * comb(m, k) * comb(n, k)
+
+
+def closed_form_counts(rs: RootSystem, ideal: Iterable[int]) -> Optional[Tuple[int, ...]]:
+    """Counts of orbit labels by size from a closed form, or None if none applies.
+
+    The abelian ideal's mask is compared with the nilradicals that have
+    one: every node of A_n (the rectangles, Melnikov's rook placements),
+    node n of C_n (c_{n,k}) and the spinor nodes n-1, n of D_n
+    (d_{n,k}).  The nilradical at node p is every root at or above
+    alpha_p, one row of ``up_masks``.  The counts are those of
+    label_counts: entry k for the k-element labels, the last one nonzero.
+    """
+    mask = check_abelian_ideal(rs, ideal).mask
+    family, n = rs.type.family, rs.rank
+    nodes = {"A": range(n), "C": (n - 1,), "D": (n - 2, n - 1)}.get(family, ())
+    for node in nodes:
+        if mask == nilradical_mask(rs, node):
+            break
+    else:
+        return None
+    if family == "A":
+        m, k = node + 1, n - node
+        return tuple(rectangle_count(m, k, j) for j in range(min(m, k) + 1))
+    if family == "C":
+        return tuple(c_count(n, k) for k in range(n + 1))
+    return tuple(d_count(n, k) for k in range(n // 2 + 1))
 
 
 def _count_labels(rs: RootSystem, a: frozenset) -> Tuple[int, ...]:
-    # label_counts on an ideal already validated
+    # the memoised counter of label_counts, on an ideal already validated
     roots = sorted(a, key=rs.positive_roots.__getitem__)
     orth = [sum(1 << b for b, h in enumerate(roots) if rs.orth_masks[g] >> h & 1)
             for g in roots]
@@ -122,7 +180,7 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
 
 def _label_masks(rs: RootSystem, a: AbelianIdeal) -> List[int]:
     # strongly_orth_subsets of a validated ideal, as masks
-    counts = _count_labels(rs, a)
+    counts = label_counts(rs, a)
     total = sum(counts)
     if total > MAX_LABELS:
         raise ValueError(
@@ -155,21 +213,18 @@ def shift_down(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> frozen
 
 
 def _label(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, ...]:
-    """S, M_S, M*_S, J_S and the dual as masks, once S is checked to be an orbit label."""
+    """S's _table_rows row, once S is checked to be an orbit label of the ideal."""
     a = check_abelian_ideal(rs, ideal)
     mask = _mask_of(s)
     if mask & ~a.mask:
         raise ValueError("orbit label must lie inside the ideal")
     _check_orth_set(rs, _bits(mask))
-    m_up = _union(rs.up_shift_masks, mask)
-    j = a.mask & ~(mask | m_up)
-    # J_S lies inside the abelian ideal, so its max-layer peel is its dual label
-    return mask, m_up, _union(rs.down_shift_masks, mask) & a.mask, j, _peel(rs, j, up=False)
+    return next(_table_rows(rs, a, (mask,)))
 
 
 def _table_rows(rs: RootSystem, a: AbelianIdeal,
-                labels: Iterable[int]) -> Iterator[Tuple[int, int, int, int]]:
-    """S, M_S, M*_S and the dual as masks, for each label mask of the validated ideal a."""
+                labels: Iterable[int]) -> Iterator[Tuple[int, int, int, int, int]]:
+    """S, M_S, M*_S, J_S and the dual as masks, for each label mask of the validated ideal a."""
     # the bit loops of _union and _max_layer are written out, not called:
     # this is an orbit table's hottest loop, and calling them makes it about
     # 15% slower on C8 node 8 and C9 node 9 (interleaved in-process timings)
@@ -185,7 +240,8 @@ def _table_rows(rs: RootSystem, a: AbelianIdeal,
             rest ^= 1 << i
         j = a.mask & ~(ss | m_up)
         # J_S is new for every label, so its max layer is peeled here; what
-        # that layer and its down shift leave of J_S is often not
+        # that layer and its down shift leave of J_S is often not.  J_S lies
+        # inside the abelian ideal, so its max-layer peel is the dual label
         layer = shift = 0
         rest = j
         while rest:
@@ -193,7 +249,7 @@ def _table_rows(rs: RootSystem, a: AbelianIdeal,
             layer |= 1 << i
             shift |= down_shifts[i]
             rest &= ~downs[i]
-        yield ss, m_up, m_down & a.mask, layer | _peel(rs, j & ~(layer | shift), False, tails)
+        yield ss, m_up, m_down & a.mask, j, layer | _peel(rs, j & ~(layer | shift), False, tails)
 
 
 def orbit_dims(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Tuple[int, int]:
@@ -268,7 +324,7 @@ def pyasetskii_map(rs: RootSystem, ideal: Iterable[int]) -> Dict[frozenset, froz
     """The full duality table S -> S_dual over all of the ideal's subsets."""
     a = check_abelian_ideal(rs, ideal)
     return {_set_of(ss): _set_of(dual)
-            for ss, _, _, dual in _table_rows(rs, a, _label_masks(rs, a))}
+            for ss, _, _, _, dual in _table_rows(rs, a, _label_masks(rs, a))}
 
 
 def pyasetskii_report(rs: RootSystem, ideal: Iterable[int]) -> dict:
@@ -341,7 +397,12 @@ class OrbitRecord:
 
 
 def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> OrbitRecord:
-    ss, m_up, m_down, j, dual = _label(rs, ideal, s)
+    return _record(rs, _label(rs, ideal, s))
+
+
+def _record(rs: RootSystem, row: Tuple[int, ...]) -> OrbitRecord:
+    """The OrbitRecord of one _table_rows row."""
+    ss, m_up, m_down, j, dual = row
     label = _bits(ss)
     return OrbitRecord(
         orth_set=label,

