@@ -9,11 +9,11 @@ deterministic for fixed arguments and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Iterator, Optional
 
 from . import anr, normal_form, orbits
@@ -104,8 +104,9 @@ def _ideal_spec_options(p):
 
 
 # Listings and JSON text reach stdout through _write, one write per batch
-# of this many lines or encoder pieces: a write per line is slow, and the
-# whole text at once doubles a large report's peak memory.
+# of this many lines, or of JSON pieces, one per element of the top two
+# levels: a write per line is slow, and the whole text at once doubles a
+# large report's peak memory.
 _BATCH = 1 << 12
 
 
@@ -116,8 +117,72 @@ def _write(pieces: Iterable[str]) -> None:
         sys.stdout.write("".join(batch))
 
 
+# json.JSONEncoder runs its C encoder only without indent, so an indented
+# dump goes through a chain of Python generators, one piece per bracket,
+# key and scalar (48,823 pieces for the C6 report).  _json_text builds each
+# value bottom-up as one string, its strings through json's C encoder.
+def _json_text(value, pad: str) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) gives, indented at pad.
+
+    Keys must be str, and values str, int, bool, None, list, tuple or
+    dict; anything else, a float included, is a TypeError.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(value[0], str):
+            try:
+                return f"[\n{inner}{sep.join(map(_encode_str, value))}\n{pad}]"
+            except TypeError:  # not only strings
+                pass
+        return f"[\n{inner}{sep.join([_json_text(v, inner) for v in value])}\n{pad}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join([_encode_str(k) + ": " + _json_text(v, inner)
+                                     for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_pieces(value, pad: str = "", levels: int = 2) -> Iterator[str]:
+    """_json_text(value, pad) in pieces, one per element of its top levels."""
+    if not (levels and value and isinstance(value, (list, tuple, dict))):
+        yield _json_text(value, pad)
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [(_encode_str(k) + ": ", v) for k, v in sorted(value.items())]
+    else:
+        brackets = "[]"
+        items = zip(repeat(""), value)
+    sep = brackets[0] + "\n" + inner
+    for key, v in items:
+        if levels == 1:
+            yield sep + key + _json_text(v, inner)
+        else:
+            yield sep + key
+            yield from _json_pieces(v, inner, levels - 1)
+        sep = ",\n" + inner
+    yield "\n" + pad + brackets[1]
+
+
 def _print_json(data) -> int:
-    _write(json.JSONEncoder(indent=2, sort_keys=True).iterencode(data))
+    _write(_json_pieces(data))
     sys.stdout.write("\n")
     return 0
 
@@ -509,11 +574,11 @@ _SUBCOMMANDS = (
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser, with the arguments of one subcommand or of all.
+    """The argument parser, with one subcommand or all of them.
 
-    Every subcommand is registered with its help, so the top-level usage,
-    help and errors read the same either way.  Given a command, only that
-    subparser gets its arguments; the others stay bare and must not parse.
+    Given a command, only that subparser is built.  The metavar then names
+    all of them, so that the top-level usage line, which an unrecognized
+    argument prints, reads the same as the full parser's.
     """
     parser = argparse.ArgumentParser(
         prog="borel-orbits",
@@ -522,12 +587,14 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     common.add_argument("--numbering", choices=("bourbaki", "vinberg"),
                         help=f"simple-root numbering convention "
                              f"(default from ${_NUMBERING_ENV} or bourbaki)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # without a command, argparse spells the same metavar from the choices;
+    # setting it would rename "command" in the missing-command error
+    metavar = None if command is None else \
+        "{" + ",".join(name for name, _, _ in _SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, options in _SUBCOMMANDS:
         if command in (None, name):
             options(sub.add_parser(name, help=help_text, parents=[common]))
-        else:
-            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 

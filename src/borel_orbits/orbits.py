@@ -178,9 +178,13 @@ def strongly_orth_subsets(rs: RootSystem, ideal: Iterable[int]) -> List[frozense
     return [_set_of(m) for m in _label_masks(rs, check_abelian_ideal(rs, ideal))]
 
 
-def _label_masks(rs: RootSystem, a: AbelianIdeal) -> List[int]:
-    # strongly_orth_subsets of a validated ideal, as masks
-    counts = label_counts(rs, a)
+def _label_masks(rs: RootSystem, a: AbelianIdeal,
+                 counts: Optional[Tuple[int, ...]] = None) -> List[int]:
+    # strongly_orth_subsets of a validated ideal, as masks; counts, if
+    # given, are its label_counts, so that a caller that checked them
+    # does not count twice
+    if counts is None:
+        counts = label_counts(rs, a)
     total = sum(counts)
     if total > MAX_LABELS:
         raise ValueError(

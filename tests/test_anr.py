@@ -419,6 +419,22 @@ def test_maximal_ideal_report_tests_only_its_ideal(monkeypatch):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("argv", [
+    ["conjecture-check", "E7", "--node", "7"],
+    ["conjecture-check", "D4", "--ideal", "e1-e4,e1+e4,e2+e3"],
+])
+def test_report_counts_its_labels_once(monkeypatch, capsys, argv):
+    # neither ideal has a closed form, so its count runs the counter; the
+    # report's cap check and its label walk share that one count
+    calls = []
+    count = orbits._count_labels
+    monkeypatch.setattr(orbits, "_count_labels",
+                        lambda *args: calls.append(args) or count(*args))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 # -- the Bruhat closure of the report against pairwise lifting ---------------
 
 def _closure_cases():

@@ -8,8 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borel_orbits import anr, build_root_system, cli, ideals, normal_form, orbits, suite, weyl
+from borel_orbits.chevalley import build_structure_table
 from borel_orbits.cli import _resolve_ideal, build_parser, main
 from borel_orbits.ideals import AbelianIdeal, check_abelian_ideal
 from borel_orbits.root_system import _bits
@@ -210,6 +212,66 @@ def test_json_batches_write_the_bytes_of_one_dump(capsys, monkeypatch, pieces):
     for data in (anr.conjecture_check(rs, 3).to_json(rs), records, [], {}):
         assert cli._print_json(data) == 0
         assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# any value the writer takes: str keys; str, int, bool and None leaves,
+# strings with control and non-ASCII characters among them
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.lists(st.text(max_size=4), max_size=5),
+        st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert "".join(cli._json_pieces(value)) == expected
+    assert cli._json_text(value, "") == expected
+
+
+@pytest.mark.parametrize("pieces", [1, 3])
+def test_json_writer_on_tuple_labels(capsys, monkeypatch, pieces):
+    # E-type labels are coefficient tuples, "[0,0,0,0,0,0,1,0]", with
+    # brackets and commas inside the strings; json.JSONEncoder is not used
+    rs = build_root_system("E6")
+    data = [build_structure_table(rs).to_json(), anr.conjecture_check(rs, 0).to_json(rs),
+            ["[0,0,0,0,0,0,1,0]", "[1,2,3,4,3,2,1,0]"], ("[0,1]", 2, ["[1,1]"]),
+            {"[0,1]": {"[1,0]": []}}]
+    expected = [json.dumps(d, indent=2, sort_keys=True) + "\n" for d in data]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.JSONEncoder wrote stdout")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    monkeypatch.setattr(cli, "_BATCH", pieces)
+    for d, text in zip(data, expected):
+        assert cli._print_json(d) == 0
+        assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("value,name", [
+    (1.5, "float"), ({1, 2}, "set"), (frozenset(), "frozenset"), (Fraction(1, 2), "Fraction"),
+])
+def test_json_writer_refuses_other_types(value, name):
+    message = f"^Object of type {name} is not JSON serializable$"
+    for data in (value, [value], ["x", value], (1, value), {"a": value},
+                 {"a": [{"b": value}]}, [[["x", value]]]):
+        with pytest.raises(TypeError, match=message):
+            "".join(cli._json_pieces(data))
+
+
+@pytest.mark.parametrize("key", [1, None, True, ("a",), 1.5])
+def test_json_writer_refuses_keys_that_are_no_str(key):
+    for data in ({key: 1}, [{key: 1}], {"a": {"b": {key: 1}}}):
+        with pytest.raises(TypeError):
+            "".join(cli._json_pieces(data))
 
 
 def test_numbering_flag(capsys):
