@@ -178,14 +178,20 @@ def _structure_table(rs: RootSystem, base_sign: int) -> StructureTable:
     return StructureTable(rs, base_sign)
 
 
+_ONE = Fraction(1)
+
+
 def _pair(c) -> Tuple[int, int]:
     """A rational scalar as its reduced integer pair (num, den), den > 0."""
+    t = type(c)
+    if t is Fraction or t is int:
+        return c.as_integer_ratio()
     return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
 
 
 def _fractions(vec: Mapping[int, Tuple[int, int]]) -> dict:
-    """A vector of integer pairs as ``Fraction``s."""
-    return {k: Fraction(n, d) for k, (n, d) in vec.items()}
+    """A vector of reduced integer pairs as ``Fraction``s, one shared ``Fraction(1)``."""
+    return {k: _ONE if n == d else Fraction(n, d) for k, (n, d) in vec.items()}
 
 
 def _exp_action(table: StructureTable, delta: int, t: Tuple[int, int],

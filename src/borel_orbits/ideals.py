@@ -11,6 +11,7 @@ above MAX_IDEALS, before any is built.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 from .root_system import RootSystem, _bits, _mask_of, _set_of, _union
@@ -63,9 +64,27 @@ def is_validated(rs: RootSystem, roots: Iterable[int]) -> bool:
 
 
 def check_abelian_ideal(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
-    """The roots as an AbelianIdeal of rs, validated unless they already are one."""
+    """The roots as an AbelianIdeal of rs, validated unless they already are one.
+
+    A plain frozenset is validated once per (system, set): callers that
+    pass the same raw ideal again, as a reduction and its replay do, get
+    the AbelianIdeal built the first time.  A set that fails is not kept.
+    """
     if is_validated(rs, roots):
         return roots
+    if type(roots) is frozenset:
+        return _validated(rs, roots)
+    return _validate(rs, roots)
+
+
+# bounded because callers may pass any number of sets; the normal-form
+# benchmark corpus, every nonzero abelian ideal of rank <= 6, uses 555 entries
+@lru_cache(maxsize=1 << 10)
+def _validated(rs: RootSystem, roots: frozenset) -> AbelianIdeal:
+    return _validate(rs, roots)
+
+
+def _validate(rs: RootSystem, roots: Iterable[int]) -> AbelianIdeal:
     s = AbelianIdeal(roots)
     # the mask and the unions of is_ideal and is_abelian in one pass
     mask = ups = sums = 0

@@ -18,11 +18,17 @@ of reduced integer pairs (num, den) once, when it enters, and travels
 with its support mask through every exp(ad) step, torus step and kill;
 ``Fraction``s are built only for what the caller sees: the transcript's
 steps, torus and result, and the vectors ``replay`` and
-``apply_b_element`` return (also for int torus parameters).  The torus
-solve memoises its Smith normal form per (system, label, side) in
-``_torus_smith``, as tuples of tuples, and its consistency check proves
-the scaled vector is all ones, so a reduction does not apply the torus
-again.
+``apply_b_element`` return (also for int torus parameters), and every
+coefficient or torus coordinate equal to 1 is one shared ``Fraction(1)``.
+
+Torus characters are evaluated on sparse exponent rows, (index,
+exponent) pairs: one per positive root of a system (``_root_rows``) and
+the Smith transforms of the torus solve.  lambda^(-c) = p/q is
+lambda^c = q/p, so the dual side swaps its targets (or its torus
+coordinates) and both sides share one Smith normal form per (system,
+label), memoised in ``_torus_smith``.  The solve's consistency check
+proves the scaled vector is all ones, so a reduction does not apply the
+torus again.
 """
 
 from __future__ import annotations
@@ -30,19 +36,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Optional, Tuple
 
 from . import orbits
-from .chevalley import StructureTable, _exp_action, _fractions, _pair, build_structure_table
+from .chevalley import (_ONE, StructureTable, _exp_action, _fractions, _pair,
+                        build_structure_table)
 from .ideals import check_abelian_ideal
 from .intlin import nth_root_fraction, smith_normal_form
 from .root_system import (RootSystem, _bits, _max_layer, _min_layer, _set_of, _union,
                           non_orthogonal_pair)
-
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -65,23 +69,34 @@ class ReductionTranscript:
         }
 
 
-def _char_ratio(pairs, coeffs, sign: int, num: int = 1, den: int = 1) -> Tuple[int, int]:
-    """num/den times the torus character's value at pairs (p, q) = p/q, as an integer pair."""
-    for (p, q), c in zip(pairs, coeffs):
-        if c:
-            e = sign * c
-            if e > 0:
-                num *= p ** e
-                den *= q ** e
-            else:
-                num *= q ** -e
-                den *= p ** -e
+def _char(pairs, row, num: int = 1, den: int = 1) -> Tuple[int, int]:
+    """num/den times the product of pairs[i] ** e over the sparse row of (i, e), as a pair."""
+    for i, e in row:
+        p, q = pairs[i]
+        if e > 0:
+            num *= p ** e
+            den *= q ** e
+        else:
+            num *= q ** -e
+            den *= p ** -e
     return num, den
+
+
+def _sparse(coeffs) -> tuple:
+    """The nonzero entries of a coefficient row as (index, coefficient) pairs."""
+    return tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+
+@cache
+def _root_rows(rs: RootSystem) -> tuple:
+    """Every positive root's simple-root coefficients as a sparse row."""
+    return tuple(map(_sparse, rs.positive_roots))
 
 
 def char_value(lam: Tuple[Fraction, ...], coeffs, sign: int = 1) -> Fraction:
     """Value of the torus character with the given simple coordinates."""
-    return Fraction(*_char_ratio([l.as_integer_ratio() for l in lam], coeffs, sign))
+    pairs = [l.as_integer_ratio() for l in lam]
+    return Fraction(*_char(pairs, _sparse(sign * c for _, c in zip(pairs, coeffs))))
 
 
 def _inputs(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
@@ -107,26 +122,32 @@ def _inputs(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
 
 
 # bounded because callers may reduce any number of labels; the seed-1
-# benchmark corpus uses 1,110 entries, suite item 11 about 250
+# benchmark corpus uses 733 entries, suite item 11 180
 @lru_cache(maxsize=1 << 12)
-def _torus_smith(rs: RootSystem, roots: tuple, sign: int) -> tuple:
-    """Smith form (u, diagonal, v) of the sign-scaled exponent rows of the roots."""
-    u, d, v = smith_normal_form([[sign * x for x in rs.positive_roots[g]] for g in roots])
-    diag = tuple(d[j][j] if j < rs.rank else 0 for j in range(len(roots)))
-    return tuple(map(tuple, u)), diag, tuple(map(tuple, v))
+def _torus_smith(rs: RootSystem, roots: tuple) -> tuple:
+    """Smith form (u, diagonal, v) of the exponent rows of the roots, u and v as
+    sparse rows; v keeps only its first len(roots) columns, as y_j = 1 beyond them."""
+    u, d, v = smith_normal_form([rs.positive_roots[g] for g in roots])
+    k = len(roots)
+    diag = tuple(d[j][j] if j < rs.rank else 0 for j in range(k))
+    return tuple(map(_sparse, u)), diag, tuple(_sparse(row[:k]) for row in v)
 
 
 def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
     """Rational lambda with prod lambda_i^(sign*coeff) = p/q per root, target (p, q); or None."""
-    n = rs.rank
     if not roots:
-        return (_ONE,) * n
+        return (_ONE,) * rs.rank
+    if sign < 0:
+        # lambda^(-c) = p/q is lambda^c = q/p.  Smith(-c) has the diagonal and
+        # v of Smith(c) and negates u's rows with d_j != 0 (a row with d_j = 0
+        # only tests targets^u[j] = 1), so both give the same lambda
+        targets = [(q, p) for p, q in targets]
     # u c v = diag(d) turns lambda^c = targets into y_j^d_j = targets^u[j],
     # and then lambda_i = y^v[i]
-    u, diag, v = _torus_smith(rs, tuple(roots), sign)
-    y = [(1, 1)] * n
+    u, diag, v = _torus_smith(rs, tuple(roots))
+    y = [(1, 1)] * len(diag)
     for j, (row, dj) in enumerate(zip(u, diag)):
-        num, den = _char_ratio(targets, row, 1)
+        num, den = _char(targets, row)
         # for d_j = 1 the root is s_j itself
         if dj > 1:
             root = nth_root_fraction(Fraction(num, den), dj)
@@ -137,19 +158,23 @@ def _solve_scalings(rs: RootSystem, roots, targets, sign: int = 1):
             y[j] = num, den
         elif num != den:
             return None
-    lam = [_char_ratio(y, row, 1) for row in v]
+    lam = [_char(y, row) for row in v]
+    rows = _root_rows(rs)
     for g, (p, q) in zip(roots, targets):
-        num, den = _char_ratio(lam, rs.positive_roots[g], sign)
+        num, den = _char(lam, rows[g])
         if num * q != den * p:
             raise AssertionError("torus solver produced an inconsistent solution")
-    return tuple(Fraction(*x) for x in lam)
+    return tuple(_ONE if p == q else Fraction(p, q) for p, q in lam)
 
 
-def _apply_torus(rs: RootSystem, lam, vec: dict, sign: int) -> dict:
+def _apply_torus(rs: RootSystem, lam, vec: dict, primal: bool) -> dict:
     """The torus element with simple coordinates lam, as pairs, on a vector of pairs."""
+    if not primal:  # the character lambda^(-c) at lam is lambda^c at 1/lam
+        lam = [(q, p) for p, q in lam]
+    rows = _root_rows(rs)
     out = {}
     for k, (n, d) in vec.items():
-        n, d = _char_ratio(lam, rs.positive_roots[k], sign, n, d)
+        n, d = _char(lam, rows[k], n, d)
         g = gcd(n, d) if d > 0 else -gcd(n, d)
         out[k] = n // g, d // g
     return out
@@ -163,34 +188,38 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
     # torus character
     primal = side == "primal"
     if primal:
-        sign, layer_of, shifts, hulls = 1, _min_layer, rs.up_shift_masks, rs.up_masks
+        layer_of, shifts, hulls = _min_layer, rs.up_shift_masks, rs.up_masks
     else:
-        sign, layer_of, shifts, hulls = -1, _max_layer, rs.down_shift_masks, rs.down_masks
+        layer_of, shifts, hulls = _max_layer, rs.down_shift_masks, rs.down_masks
     what = "" if primal else "dual "
+    orth, diffs, ideal_mask = rs.orth_masks, rs.diff_index, a.mask
     steps = []
     acc: list = []  # S in the order its layers were peeled
-    s = 0
+    s = shifted = 0
     while True:
         layer = layer_of(rs, mask & ~s)
         if not layer:
             break
-        acc.extend(_bits(layer))
+        new = _bits(layer)
+        acc.extend(new)
         s |= layer
-        bad = non_orthogonal_pair(rs, acc)
-        if bad is not None:
+        # pairs of earlier layers were checked when they joined: check the new
+        # layer against all of S, and name the first bad pair as before
+        if any(s & ~(orth[i] | 1 << i) for i in new):
+            bad = non_orthogonal_pair(rs, acc)
             raise AssertionError(
                 f"accumulated set is not strongly orthogonal: "
                 f"{rs.root_label(bad[0])}, {rs.root_label(bad[1])}")
         # the support stays inside the ideal, so both shifts may be bounded by it
-        shifted = _union(shifts, s) & a.mask
-        while True:
-            targets = shifted & mask
-            if not targets:
-                break
-            nu = _bits(layer_of(rs, targets))[0]
+        shifted = (shifted | _union(shifts, layer)) & ideal_mask
+        targets = shifted & mask
+        hull = _union(hulls, targets) & ideal_mask
+        while targets:
+            first = layer_of(rs, targets)
+            nu = (first & -first).bit_length() - 1
             # nu = gamma + delta (primal) or gamma - delta (dual), gamma in S
             for gamma in acc:
-                delta = rs.diff_index[nu][gamma] if primal else rs.diff_index[gamma][nu]
+                delta = diffs[nu][gamma] if primal else diffs[gamma][nu]
                 if delta >= 0:
                     break
             else:
@@ -200,25 +229,30 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             # the kill is not linear
             if any(k > 1 and tgt in vec for tgt, _, k in table.chain(delta, not primal)[nu]):
                 raise AssertionError(f"{what}kill step would be nonlinear; minimality violated")
-            n = table.structure_constant(1, delta, sign, gamma)
+            # the first link of gamma's delta-string is nu, with coefficient N
+            link = table.chain(delta, primal)[gamma]
+            if not link or link[0][0] != nu:
+                raise AssertionError(f"{what}kill target is not on the delta-string of S")
+            n = link[0][1]
             (vn, vd), (gn, gd) = vec[nu], vec[gamma]
             t = Fraction(-vn * gd, n * gn * vd)  # -v_nu / (n v_gamma)
-            before = {g: vec[g] for g in acc}
-            old_hull = _union(hulls, targets) & a.mask
+            before = [vec[g] for g in acc]
             vec, mask = _exp_action(table, delta, t.as_integer_ratio(), vec, mask, a, primal)
             steps.append((delta, t))
             if nu in vec:
                 raise AssertionError(f"{what}kill step failed to remove its target")
-            if any(vec.get(g) != c for g, c in before.items()):
+            if [vec.get(g) for g in acc] != before:
                 raise AssertionError(f"{what}kill step changed a coefficient on S")
-            hull = _union(hulls, shifted & mask) & a.mask
+            targets = shifted & mask
+            old_hull, hull = hull, _union(hulls, targets) & ideal_mask
             if hull & ~old_hull or hull == old_hull:
                 raise AssertionError(f"{what}kill phase is not making progress")
     if mask != s:
         raise AssertionError(f"{what}reduction finished with support different from S")
     order = _bits(s)
-    # the target 1 / vec[g] as the integer pair of vec[g], swapped
-    lam = _solve_scalings(rs, order, [vec[g][::-1] for g in order], sign)
+    # lambda^c = 1 / vec[g] on the primal side, lambda^(-c) = 1 / vec[g] on
+    # the dual, both as lambda^c = target
+    lam = _solve_scalings(rs, order, [vec[g][::-1] if primal else vec[g] for g in order])
     normalized = lam is not None
     if normalized:
         # the solve has checked lambda^(sign c_g) vec[g] = 1 for every g in S
@@ -246,11 +280,10 @@ def _trajectory(rs: RootSystem, ideal: Iterable[int], ops, v: Mapping[int, Fract
     """The pair vector before and after each ("unipotent", delta, t) or ("torus", lam) op."""
     a, table, vec, mask = _inputs(rs, ideal, v, table, side)
     up = side == "primal"
-    sign = 1 if up else -1
     out = [vec]
     for op in ops:
         if op[0] == "torus":
-            vec = _apply_torus(rs, [_pair(l) for l in op[1]], vec, sign)
+            vec = _apply_torus(rs, [_pair(l) for l in op[1]], vec, up)
         else:
             vec, mask = _exp_action(table, op[1], _pair(op[2]), vec, mask, a, up)
         out.append(vec)

@@ -6,11 +6,13 @@ import random
 import sys
 from fractions import Fraction
 
-from borel_orbits import RootSystem, SimpleType, build_root_system, normal_form, weyl
+import pytest
+
+from borel_orbits import RootSystem, SimpleType, build_root_system, ideals, normal_form, weyl
 from borel_orbits.anr import anr_ideal, anr_statistic, conjecture_check, w0l_action
 from borel_orbits.cli import main
 from borel_orbits.chevalley import bracket, build_structure_table
-from borel_orbits.ideals import enumerate_abelian_ideals
+from borel_orbits.ideals import check_abelian_ideal, enumerate_abelian_ideals
 from borel_orbits.normal_form import reduce_in_dual, reduce_in_ideal
 from borel_orbits.orbits import (
     kostant_cascade,
@@ -128,6 +130,8 @@ def test_counting_keeps_no_process_wide_memo(capsys):
 
 
 def test_torus_smith_memo_holds_one_tuple_entry_per_label_and_side():
+    # both sides share one entry per (system, label): the dual solve swaps its
+    # targets and reads the primal Smith form
     memo = normal_form._torus_smith
     rng = random.Random(4)
     keys = set()
@@ -136,19 +140,59 @@ def test_torus_smith_memo_holds_one_tuple_entry_per_label_and_side():
     for typ in ("B3", "G2", "A4"):
         rs = build_root_system(typ)
         ideal = max(enumerate_abelian_ideals(rs), key=len)
-        for sign, reduce in ((1, reduce_in_ideal), (-1, reduce_in_dual)):
+        for reduce in (reduce_in_ideal, reduce_in_dual):
             for _ in range(40):
                 reductions += 1
                 support = rng.sample(sorted(ideal), rng.randint(1, len(ideal)))
                 s, _ = reduce(rs, ideal, normal_form.random_vector(rs, support, rng))
-                keys.add((rs, tuple(sorted(s)), sign))
+                keys.add((rs, tuple(sorted(s))))
     after = memo.cache_info()
-    # one Smith form per (system, label, side), never one per reduction
+    # one Smith form per (system, label), never one per reduction
     assert len(keys) < reductions
     assert after.misses - before.misses <= len(keys)
     assert after.currsize - before.currsize <= len(keys)
     for key in keys:
         u, diag, v = memo(*key)
         assert type(diag) is tuple and all(type(x) is int for x in diag)
-        assert all(type(m) is tuple and all(type(row) is tuple for row in m) for m in (u, v))
+        # u and v as sparse rows of (index, exponent) pairs
+        for m in (u, v):
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
+            assert all(type(e) is tuple and len(e) == 2 and e[1] for row in m for e in row)
     assert memo.cache_info().misses == after.misses
+    # a primal and a dual reduction to one label cost one miss, on a system
+    # no other reduction has used
+    rs = RootSystem(SimpleType("C", 3))
+    ideal = anr_ideal(rs, 2)
+    label = lower_canonical(rs, ideal)
+    v = {g: Fraction(g + 2) for g in label}
+    before = memo.cache_info()
+    assert reduce_in_ideal(rs, ideal, v)[0] == reduce_in_dual(rs, ideal, v)[0] == label
+    after = memo.cache_info()
+    assert after.misses - before.misses == 1 and after.hits - before.hits == 1
+
+
+def test_validation_memo_holds_one_entry_per_plain_frozenset():
+    memo = ideals._validated
+    rs = RootSystem(SimpleType("B", 3))  # no other test validates on it
+    ideal = max(enumerate_abelian_ideals(rs), key=len)
+    before = memo.cache_info()
+    a = check_abelian_ideal(rs, frozenset(ideal))
+    assert check_abelian_ideal(rs, frozenset(sorted(ideal))) is a
+    after = memo.cache_info()
+    assert a == ideal and a.mask == ideal.mask and a.rs is rs
+    assert after.misses - before.misses == 1 and after.hits - before.hits == 1
+    assert after.currsize - before.currsize <= 1
+    # a set that fails raises the same message on every call and is not kept
+    for roots, message in (([rs.simple_indices[0]], "root set is not upward closed"),
+                           (range(rs.num_positive), "ideal is not abelian")):
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                check_abelian_ideal(rs, frozenset(roots))
+            assert str(err.value) == message
+    assert memo.cache_info().currsize == after.currsize
+    # an AbelianIdeal, for this system or another, bypasses the memo
+    info = memo.cache_info()
+    assert check_abelian_ideal(rs, a) is a
+    other = check_abelian_ideal(build_root_system("B3"), a)
+    assert other == a and other is not a
+    assert memo.cache_info() == info

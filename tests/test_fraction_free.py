@@ -292,8 +292,11 @@ def test_exp_action_errors_match_reference():
     delta = rs.parse_root("e3-e4")
     v = {g: 1 for g in roots}
     outside = {rs.parse_root("e1-e2"): Fraction(-2, 3), **v}
+    # the sources are read in order: a chain leaving the set from an earlier
+    # root fails before the root outside the set is reached
+    outside_last = {**v, rs.parse_root("e1-e2"): Fraction(-2, 3)}
     for up, vec, err in ((True, v, AssertionError), (True, outside, ValueError),
-                         (False, outside, ValueError)):
+                         (False, outside, ValueError), (True, outside_last, AssertionError)):
         action = ad_exp_action if up else coad_exp_action
         with pytest.raises(err) as got:
             action(table, delta, Fraction(-3, 2), vec, roots)
