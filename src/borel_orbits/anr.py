@@ -7,16 +7,20 @@ and gathers evidence for the conjectured description of dual-orbit
 closures through Weyl involutions; it reports violations, it never
 proves anything.
 
-The checker orders the distinct involutions sigma_S under Bruhat as
-integer bitsets, one lower-set mask per involution, visited by
-increasing length.  Each involution gets an integer order vector, and u
-can lie below w only if u's vector is at most w's in every coordinate.
-In types A, B and C the vector decides the order exactly (the tableau
-criterion on the fundamental-weight drops in type A, the signed
-permutation counts of Bjorner-Brenti in types B and C), so no pair is
-lifted.  In types D, E, F and G the weight drops are only necessary: a
-pair that passes them is lifted through weyl.bruhat_leq, unless
-transitivity already implies it.  Dimension monotonicity, the covers
+Each label's l(sigma_S) comes from its packed sum t_S (weyl._sigma_key),
+and the labels are grouped by t_S, which is equal for two labels iff
+their sigma_S are.  The checker orders the distinct involutions sigma_S
+under Bruhat as integer bitsets, one lower-set mask per involution,
+visited by increasing length.  Each involution gets an integer order
+vector read off a label, and u can lie below w only if u's vector is at
+most w's in every coordinate.  In types A, B and C the vector decides
+the order exactly (the tableau criterion on the fundamental-weight drops
+in type A, the signed permutation counts of Bjorner-Brenti in types B
+and C, with sigma_S read off the epsilon supports of S), so no pair is
+lifted and no Weyl element is built.  In types D, E, F and G the weight
+drops are only necessary: each distinct sigma_S is built once as a Weyl
+element, and a pair that passes them is lifted through weyl.bruhat_leq,
+unless transitivity already implies it.  Dimension monotonicity, the covers
 and the subset check then read the lower sets.  The checker refuses an
 ideal with more than MAX_REPORT_LABELS labels, from their count, before
 building any.
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import weyl
@@ -231,97 +234,126 @@ def _weight_drop(rs: RootSystem, label: Iterable[int]) -> Tuple[int, ...]:
 
 @cache
 def _signed_coords(rs: RootSystem) -> Tuple[Tuple[int, ...], ...]:
-    """Per signed root index of type B or C, its epsilon support as signed coordinates.
+    """Per positive root of type B or C, its epsilon support as signed coordinates.
 
     Coordinate k (0-based) is relabelled n - k, so that alpha_n = e_n or
     2e_n becomes the sign change of coordinate 1, Bjorner-Brenti's s_0,
     and alpha_i the transposition s_{n-i}.
     """
     n = rs.rank
-    positive = tuple(tuple(n - k if v > 0 else k - n for k, v in enumerate(vec) if v)
-                     for vec in rs.eps_vectors)
-    return positive + tuple(tuple(-x for x in c) for c in positive)
+    return tuple(tuple(n - k if v > 0 else k - n for k, v in enumerate(vec) if v)
+                 for vec in rs.eps_vectors)
+
+
+def _signed_permutation(rs: RootSystem, label: Iterable[int]) -> List[int]:
+    """sigma_S of a type-B or C label as a signed permutation p of 1..n, read off S.
+
+    p[m - 1] is the image of the relabelled coordinate m (see
+    _signed_coords).  The reflections in S commute, so each is composed
+    in turn: 2e_i or e_i changes the sign of i, e_i - e_j swaps i and j,
+    and e_i + e_j swaps them and changes both signs.  Two roots of S share
+    a coordinate only as {e_i - e_j, e_i + e_j} in type B, which is -1 on
+    both.
+    """
+    coords = _signed_coords(rs)
+    p = list(range(1, rs.rank + 1))
+    for g in label:
+        x, *y = coords[g]
+        i = abs(x) - 1
+        if not y:
+            p[i] = -p[i]
+            continue
+        j = abs(y[0]) - 1
+        if x * y[0] < 0:
+            p[i], p[j] = p[j], p[i]
+        else:
+            p[i], p[j] = -p[j], -p[i]
+    return p
 
 
 @cache
-def _at_least(n: int) -> Dict[int, Tuple[int, ...]]:
-    """Per value v in [+-n], the indicator of v >= j over j = -n+1, ..., -1, 1, ..., n."""
-    js = [j for j in range(1 - n, n + 1) if j]
-    return {v: tuple(int(v >= j) for j in js) for v in range(-n, n + 1) if v}
+def _at_least(n: int) -> Dict[int, int]:
+    """Per value v in [+-n], the indicators of v >= j over j = -n+1, ..., -1, 1, ..., n.
 
-
-def _signed_permutation_vector(rs: RootSystem, w: weyl.WeylElement) -> Tuple[int, ...]:
-    """w[i, j] = #{a <= i : p(a) >= j} for rows i < 0 of w's signed permutation p.
-
-    p is w on the relabelled coordinates (see _signed_coords): w(e_1) is
-    w(alpha_n) up to a factor 2, and w(e_m) = w(alpha_{n+1-m}) + w(e_{m-1})
-    is whichever of w(alpha_{n+1-m})'s two coordinates w(e_{m-1}) does not
-    cancel.  u <= w in B_n iff u[i, j] <= w[i, j] in every cell
-    (Bjorner-Brenti, GTM 231, Thm. 8.1.8); by p(-a) = -p(a) the rows
-    i < 0 suffice, and column j = -n counts every a, so is left out.
+    Indicator k is byte k of the int, so a sum of at most 255 of them
+    holds one count per byte.
     """
-    coords = _signed_coords(rs)
-    images = w.images
-    n = rs.rank
-    p = [coords[images[n - 1]][0]]
-    for m in range(2, n + 1):
-        x, y = coords[images[n - m]]
-        p.append(y if x == -p[-1] else x)
-    at_least = _at_least(n)
+    js = [j for j in range(1 - n, n + 1) if j]
+    return {v: int.from_bytes(bytes(int(v >= j) for j in js), "little")
+            for v in range(-n, n + 1) if v}
+
+
+def _signed_permutation_vector(p: List[int]) -> bytes:
+    """w[i, j] = #{a <= i : p(a) >= j} for rows i < 0 of a signed permutation p of 1..n.
+
+    p[m - 1] is p(m); the counts come row by row, one byte each.  u <= w
+    in B_n iff u[i, j] <= w[i, j] in every cell (Bjorner-Brenti, GTM 231,
+    Thm. 8.1.8); by p(-a) = -p(a) the rows i < 0 suffice, and column
+    j = -n counts every a, so is left out.
+    """
+    at_least = _at_least(len(p))
+    width = 2 * len(p) - 1
     # row -m counts the values p(a) = -p(-a) over a = -n, ..., -m
-    row = (0,) * (2 * n - 1)
+    row = 0
     rows = []
     for v in reversed(p):
-        row = tuple(map(add, row, at_least[-v]))
-        rows.append(row)
-    return sum(rows, ())
+        row += at_least[-v]
+        rows.append(row.to_bytes(width, "little"))
+    return b"".join(rows)
 
 
 def _bruhat_lower_sets(rs: RootSystem, labels: List[Tuple[int, ...]],
-                       elements: List[weyl.WeylElement], lengths: List[int]) -> List[int]:
+                       lengths: List[int]) -> List[int]:
     """The Bruhat order on distinct sigma_S, sorted by length, as lower-set masks.
 
-    Bit u of entry w is set iff elements[u] <= elements[w].  Each family
-    has one order vector, a tuple of integers with u <= w only if u's
-    vector is at most w's in every coordinate.  Per coordinate, a table
-    maps a value to the mask of elements whose entry is at most it, so w's
-    candidates are one AND per coordinate.
+    labels holds one label per distinct sigma_S.  Bit u of entry w is set
+    iff sigma_u <= sigma_w.  Each family has one order vector of small
+    integers read off the label, with u <= w only if u's vector is at most
+    w's in every coordinate.  Per coordinate, a table maps a value to the
+    mask of involutions whose entry is at most it, so w's candidates are
+    one AND per coordinate.
 
     - Types B and C: the signed-permutation counts of
-      _signed_permutation_vector, 2n^2 - n integers.  The test is exact,
-      so the candidates are the lower set.
+      _signed_permutation_vector on _signed_permutation, 2n^2 - n
+      integers.  The test is exact, so the candidates are the lower set.
     - Other types: the weight drop, n^2 integers: u <= w needs
       u(lambda) - w(lambda) in the positive root cone for dominant lambda
       (Bjorner-Brenti, GTM 231, Sec. 2.2), tested on the fundamental
       weights.  In type A this is the tableau criterion (ibid., Thm.
-      2.1.5) and exact.  In types D to G it is only necessary: the
-      candidates are lifted through weyl.bruhat_leq from the longest
-      down; a hit ORs in the candidate's finished lower set, and what is
-      set is never lifted.
+      2.1.5) and exact.  In types D to G it is only necessary: each
+      sigma_S is built as a Weyl element (on D6 to D10, E6 and E7 every
+      one is lifted), and the candidates are lifted through
+      weyl.bruhat_leq from the longest down; a hit ORs in the candidate's
+      finished lower set, and what is set is never lifted.
+
+    No Weyl element is built in types A, B and C.
     """
     family = rs.type.family
     if family in "BC":
-        vectors = [_signed_permutation_vector(rs, w) for w in elements]
+        vectors = [_signed_permutation_vector(_signed_permutation(rs, s)) for s in labels]
     else:
         vectors = [_weight_drop(rs, s) for s in labels]
     exact = family in "ABC"
+    elements = None if exact else [weyl._sigma_element(rs, s) for s in labels]
+    # entries are small nonnegative integers (up to 60, in E8), so each
+    # coordinate is a bytes column, and bytes() refuses any other; equal
+    # coordinates give equal masks (C6 node 6 has 36 distinct of 66)
+    columns = list(dict.fromkeys(map(bytes, zip(*vectors))))
     tables = []
-    for column in zip(*vectors):
-        # entries are small nonnegative integers (up to 60, in E8), so a
-        # byte each, the last element first, and bytes() refuses any other;
-        # translating bytes <= v to "1" and the others to "0" spells the
-        # at-most-v mask in binary
-        code = bytes(column[::-1])
+    for column in columns:
+        # the last element first: translating bytes <= v to "1" and the
+        # others to "0" spells the at-most-v mask in binary
+        code = column[::-1]
         tables.append({v: int(code.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
                        for v in set(column)})
     lower: List[int] = []
     shorter = 0
-    for w, elem in enumerate(elements):
+    for w in range(len(labels)):
         if w and lengths[w] != lengths[w - 1]:
             shorter = (1 << w) - 1
         candidates = shorter
-        for at_most, v in zip(tables, vectors[w]):
-            candidates &= at_most[v]
+        for at_most, column in zip(tables, columns):
+            candidates &= at_most[column[w]]
         below = 1 << w
         if exact:
             lower.append(below | candidates)
@@ -329,7 +361,7 @@ def _bruhat_lower_sets(rs: RootSystem, labels: List[Tuple[int, ...]],
         while candidates:
             u = candidates.bit_length() - 1
             candidates ^= 1 << u
-            if weyl.bruhat_leq(rs, elements[u], elem):
+            if weyl.bruhat_leq(rs, elements[u], elements[w]):
                 below |= lower[u]
                 candidates &= ~below
         lower.append(below)
@@ -346,8 +378,9 @@ def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> C
     masks = _label_masks(rs, ideal, counts)
     labels = [_bits(m) for m in masks]
     report = ConjectureReport(type=str(rs.type), ideal=tuple(sorted(ideal)), node=node)
-    sigmas = [weyl._sigma_element(rs, s) for s in labels]
-    lengths = [weyl.length(rs, w) for w in sigmas]
+    # t_S per label (weyl._packed_table): its length, and equal iff sigma_S is
+    keys = [weyl._sigma_key(rs, s) for s in labels]
+    lengths = [weyl._key_length(rs, t) for t in keys]
     dims = [ss.bit_count() + m_down.bit_count()
             for ss, _, m_down, _, _ in _table_rows(rs, ideal, masks)]
     for s, ell, dim in zip(labels, lengths, dims):
@@ -364,23 +397,22 @@ def _build_report(rs: RootSystem, ideal: AbelianIdeal, node: Optional[int]) -> C
             report.formula_violations.append(s)
 
     # order the distinct involutions under Bruhat, one rep label each
-    by_element: Dict[weyl.WeylElement, List[int]] = {}
-    for x, w in enumerate(sigmas):
-        by_element.setdefault(w, []).append(x)
+    by_key: Dict[int, List[int]] = {}
+    for x, t in enumerate(keys):
+        by_key.setdefault(t, []).append(x)
     reps = []
-    for xs in by_element.values():
+    for xs in by_key.values():
         xs.sort(key=labels.__getitem__)
         reps.append(xs[0])
         report.sigma_collisions.extend((labels[xs[0]], labels[x]) for x in xs[1:])
     reps.sort(key=lambda x: (lengths[x], labels[x]))
-    lower = _bruhat_lower_sets(rs, [labels[x] for x in reps], [sigmas[x] for x in reps],
-                               [lengths[x] for x in reps])
+    lower = _bruhat_lower_sets(rs, [labels[x] for x in reps], [lengths[x] for x in reps])
 
     # dimension monotonicity along strict Bruhat relations: for label y of
     # rep j, only the reps below j holding a label of dimension >= dim y
     # can violate it, and a mask of those per dimension finds them
-    rep_index = {sigmas[x]: k for k, x in enumerate(reps)}
-    rep_of = [rep_index[w] for w in sigmas]
+    rep_index = {keys[x]: k for k, x in enumerate(reps)}
+    rep_of = [rep_index[t] for t in keys]
     labels_of: List[List[int]] = [[] for _ in reps]
     for x, i in enumerate(rep_of):
         labels_of[i].append(x)

@@ -159,8 +159,12 @@ def _json_text(value, pad: str) -> str:
 
 
 def _json_pieces(value, pad: str = "", levels: int = 2) -> Iterator[str]:
-    """_json_text(value, pad) in pieces, one per element of its top levels."""
-    if not (levels and value and isinstance(value, (list, tuple, dict))):
+    """_json_text(value, pad) in pieces, one per element of its top levels.
+
+    An iterator at the top levels is written as the list of its items, as
+    they come, so its items are never held at once.
+    """
+    if not (levels and isinstance(value, (list, tuple, dict, Iterator))):
         yield _json_text(value, pad)
         return
     inner = pad + "  "
@@ -178,7 +182,7 @@ def _json_pieces(value, pad: str = "", levels: int = 2) -> Iterator[str]:
             yield sep + key
             yield from _json_pieces(v, inner, levels - 1)
         sep = ",\n" + inner
-    yield "\n" + pad + brackets[1]
+    yield "\n" + pad + brackets[1] if sep[0] == "," else brackets
 
 
 def _print_json(data) -> int:
@@ -262,8 +266,7 @@ def _cmd_orbits(args) -> int:
         return 0
     labels = orbits._label_masks(rs, ideal)
     if args.json:
-        return _print_json([orbits._record(rs, row).to_json(rs)
-                            for row in orbits._table_rows(rs, ideal, labels)])
+        return _print_json(orbits._records_json(rs, orbits._table_rows(rs, ideal, labels)))
     head = ("orth_set,size,dim_in_a,dim_in_a_star,dual" if args.csv
             else f"{rs.type}, ideal of dim {len(ideal)}: {len(labels)} orbits")
     _write(chain([head + "\n"], _orbit_lines(rs, ideal, labels, args)))

@@ -18,13 +18,14 @@ roots above (below) it are dropped unvisited.
 
 One row generator, _table_rows, gives S, M_S, M*_S, J_S and the dual as
 masks for every label of an ideal, and every per-label fact is read from
-it: the orbit tables, the records of ``orbits --json`` and orbit_record
-(one builder, _record), pyasetskii_map, the conjecture report, and the
-single-label functions through _label.  No two labels share J_S, but
-many share what is left of J_S after its first layer, so the generator
-peels each J_S's first layer itself and memoises the rest of the dual
-peel on that remainder, in a dict local to the call
-(on C8 node 8, 2,888 distinct tails for 7,193 labels).  M_S and M*_S are
+it: the orbit tables, the records of ``orbits --json`` (_records_json)
+and orbit_record, pyasetskii_map, the conjecture report, and the
+single-label functions through _label.  A record reads l(sigma_S) off
+weyl's packed table and builds no Weyl element.  No two labels share
+J_S, but many share what is left of J_S after its first layer, so the
+generator peels each J_S's first layer itself and memoises the rest of
+the dual peel on that remainder, in a dict local to the call (on C8
+node 8, 2,888 distinct tails for 7,193 labels).  M_S and M*_S are
 ORs over the bits of S; reading them off the row of S minus its top root,
 seen earlier, was no faster.  The rows stay masks: every dual is itself
 a label, so the CLI builds one label string per mask and reads it for
@@ -401,12 +402,7 @@ class OrbitRecord:
 
 
 def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> OrbitRecord:
-    return _record(rs, _label(rs, ideal, s))
-
-
-def _record(rs: RootSystem, row: Tuple[int, ...]) -> OrbitRecord:
-    """The OrbitRecord of one _table_rows row."""
-    ss, m_up, m_down, j, dual = row
+    ss, m_up, m_down, j, dual = _label(rs, ideal, s)
     label = _bits(ss)
     return OrbitRecord(
         orth_set=label,
@@ -416,6 +412,48 @@ def _record(rs: RootSystem, row: Tuple[int, ...]) -> OrbitRecord:
         m_down=_bits(m_down),
         j_set=_bits(j),
         dual=_bits(dual),
-        sigma_length=weyl.length(rs, weyl._sigma_element(rs, label)),
+        sigma_length=weyl._key_length(rs, weyl._sigma_key(rs, label)),
         sigma_abs_length=len(label),
     )
+
+
+def _records_json(rs: RootSystem, rows: Iterable[Tuple[int, ...]]) -> Iterator[dict]:
+    """The OrbitRecord.to_json of each _table_rows row, read off its masks.
+
+    Each root set's sorted labels are built once per mask for the call,
+    and every entry gets its own copy: every dual is itself a label, and
+    on C9 node 9 the 29,186 labels have 16,886 distinct M_S.  J_S is new
+    for every label, so it skips the memo.
+    """
+    labels = rs.labels
+    memo: Dict[int, List[str]] = {}
+
+    def names(mask: int) -> List[str]:
+        # the bit loop of _bits is written out, as in _table_rows
+        out = []
+        while mask:
+            i = mask.bit_length() - 1
+            out.append(labels[i])
+            mask ^= 1 << i
+        out.sort()
+        return out
+
+    def shared(mask: int) -> List[str]:
+        got = memo.get(mask)
+        if got is None:
+            got = memo[mask] = names(mask)
+        return got[:]
+
+    for ss, m_up, m_down, j, dual in rows:
+        k = ss.bit_count()
+        yield {
+            "orth_set": shared(ss),
+            "dim_in_a": k + m_up.bit_count(),
+            "dim_in_a_star": k + m_down.bit_count(),
+            "m_up": shared(m_up),
+            "m_down": shared(m_down),
+            "j_set": names(j),
+            "dual": shared(dual),
+            "sigma_length": weyl._key_length(rs, weyl._sigma_key(rs, _bits(ss))),
+            "sigma_abs_length": k,
+        }

@@ -171,8 +171,9 @@ class RootSystem:
     (the roots below) from closures over the two shift tables.
 
     Tables derived elsewhere (structure constants, the Weyl reflection
-    table, Weyl descent chains, the cascade) are cached by the functions
-    that own them; Weyl lengths are recomputed on each call, not cached.
+    table, the packed table of sigma_S lengths, Weyl descent chains, the
+    cascade) are cached by the functions that own them; a length is one
+    sum and popcount over the packed table per call, never cached.
     """
 
     def __init__(self, typ: SimpleType):

@@ -10,6 +10,11 @@ roots, so the involutions attached to strongly orthogonal sets, lengths,
 descent chains and Bruhat comparisons are table lookups.  The integer
 matrix on simple-root coordinates is derived only when asked for.
 
+The involution sigma_S of a strongly orthogonal set also has a packed
+form that needs no element: t_S, a sum of one integer per root of S
+(_packed_table), gives l(sigma_S) by a popcount and is equal for two sets
+iff their sigma_S are.  Orbit records and conjecture reports read it.
+
 Elements are never enumerated group-wide.
 """
 
@@ -122,6 +127,62 @@ def _reflection_table(rs: RootSystem) -> _Table:
     return _Table(tuple(rows + rows), tuple(steps), coeffs)
 
 
+class _Packed(NamedTuple):
+    # one field of `width` bits per positive root beta_b, bit b * width up
+    base: int
+    # the top bit of every field
+    high: int
+    # values[g]: <beta_b, gamma_g^vee> ht(gamma_g) in field b, for every b
+    values: tuple
+
+
+@cache
+def _packed_table(rs: RootSystem) -> _Packed:
+    """The fields that give sigma_S's length and identity from integer sums.
+
+    The reflections in a strongly orthogonal S commute, so sigma_S(beta) =
+    beta - sum_{gamma in S} <beta, gamma^vee> gamma, which is negative iff
+    x = sum_{gamma in S} <beta, gamma^vee> ht(gamma) exceeds ht(beta).  Field
+    b of t_S = base + sum_{gamma in S} values[gamma] (_sigma_key) holds
+    2^(width-1) - 1 + x - ht(beta_b), which lies in [0, 2^width) because
+    sigma_S(beta_b) is a root, of height at most ht(theta) either way.
+    Its top bit is set iff sigma_S(beta_b) < 0, so l(sigma_S) is the number
+    of bits of t_S & high (_key_length).  The field is 2^(width-1) - 1 -
+    ht(sigma_S beta_b), and ht(sigma_S beta_b) = <beta_b, sigma_S rho^vee>
+    with rho^vee regular, so t_S determines sigma_S.  values[gamma] is
+    ht(gamma) sum_i coroot_i(gamma) Q_i, with Q_i packing
+    <beta_b, alpha_i^vee> over b: n products per gamma, and no pairing of
+    two roots is computed.
+    """
+    n = rs.rank
+    width = (rs.heights[-1] + 1).bit_length() + 1
+    half = 1 << width - 1
+    q = [0] * n
+    base = high = 0
+    for b, beta in enumerate(rs.positive_roots):
+        shift = b * width
+        base += half - rs.heights[b] - 1 << shift
+        high |= half << shift
+        for i in range(n):
+            c = rs.cartan_pairing(beta, i)
+            if c:
+                q[i] += c << shift
+    values = tuple(h * sum(c * qi for c, qi in zip(coroot, q) if c)
+                   for h, coroot in zip(rs.heights, rs.coroots))
+    return _Packed(base, high, values)
+
+
+def _sigma_key(rs: RootSystem, orth_set: Iterable[int]) -> int:
+    """t_S of a strongly orthogonal set: equal for two sets iff their sigma_S are."""
+    table = _packed_table(rs)
+    return sum(map(table.values.__getitem__, orth_set), table.base)
+
+
+def _key_length(rs: RootSystem, key: int) -> int:
+    """l(sigma_S) from t_S: the positive roots that sigma_S makes negative."""
+    return (key & _packed_table(rs).high).bit_count()
+
+
 def _positive_images(rs: RootSystem, images) -> list:
     """Signed indices of w(beta) for every positive root beta, by index."""
     table = _reflection_table(rs)
@@ -185,7 +246,8 @@ def absolute_length(rs: RootSystem, w: WeylElement) -> int:
 
 # one entry: bruhat_leq's only caller in the package,
 # anr._bruhat_lower_sets, lifts every candidate of one w in a row; it
-# lifts only in types D to G, as types A, B and C have an exact test
+# builds elements and lifts only in types D to G, as types A, B and C have
+# an exact test read off the labels
 @lru_cache(maxsize=1)
 def _descent_chain(rs: RootSystem, w: WeylElement) -> tuple:
     """Simple-root positions descending w to the identity, left to right."""

@@ -504,7 +504,7 @@ def test_bruhat_closure_matches_pairwise_lifting(typ, node):
     ideal = _case_ideal(rs, node)
     reps, sigma, ell, leq, mono, covers, subset = _pairwise_parts(rs, ideal)
     elements = [sigma[s] for s in reps]
-    lower = anr._bruhat_lower_sets(rs, reps, elements, [ell[s] for s in reps])
+    lower = anr._bruhat_lower_sets(rs, reps, [ell[s] for s in reps])
     assert [[lower[w] >> u & 1 == 1 for w in range(len(reps))]
             for u in range(len(reps))] == leq
     # the weight filter never drops a pair that lifting accepts; in type A
@@ -514,7 +514,8 @@ def test_bruhat_closure_matches_pairwise_lifting(typ, node):
     if rs.type.family == "A":
         vectors = drops
     elif rs.type.family in "BC":
-        vectors = [anr._signed_permutation_vector(rs, w) for w in elements]
+        vectors = [anr._signed_permutation_vector(_images_permutation(rs, w))
+                   for w in elements]
     for u, row in enumerate(leq):
         for w, related in enumerate(row):
             if related:
@@ -564,6 +565,27 @@ def test_report_lifts_few_pairs(monkeypatch):
     assert rep.ok() and len(calls) >= 1
 
 
+def _images_permutation(rs, w):
+    """w's signed permutation p of 1..n on anr's relabelled coordinates, from w.images.
+
+    The oracle of anr._signed_permutation, which reads sigma_S off the
+    epsilon supports of S instead: w(e_1) is w(alpha_n) up to a factor 2,
+    and w(e_m) = w(alpha_{n+1-m}) + w(e_{m-1}) is whichever of
+    w(alpha_{n+1-m})'s two coordinates w(e_{m-1}) does not cancel.
+    """
+    n, npos = rs.rank, rs.num_positive
+    coords = anr._signed_coords(rs)
+
+    def signed(k):
+        return coords[k] if k < npos else tuple(-x for x in coords[k - npos])
+
+    p = [signed(w.images[n - 1])[0]]
+    for m in range(2, n + 1):
+        x, y = signed(w.images[n - m])
+        p.append(y if x == -p[-1] else x)
+    return p
+
+
 def _group(rs):
     """Every element of W: the identity closed under right simple reflections."""
     gens = [weyl.reflection(rs, a) for a in rs.simple_indices]
@@ -605,14 +627,45 @@ def test_signed_permutation_vector_from_the_matrix(typ):
             p[k - n] = -p[n - k]
         expected = tuple(sum(1 for a in p if a <= i and p[a] >= j)
                          for i in range(-n, 0) for j in range(1 - n, n + 1) if j)
-        assert anr._signed_permutation_vector(rs, w) == expected, (typ, w.images)
+        vector = anr._signed_permutation_vector(_images_permutation(rs, w))
+        assert tuple(vector) == expected, (typ, w.images)
 
 
 @pytest.mark.parametrize("typ", ["B2", "C2", "B3", "C3"])
 def test_signed_permutation_vector_decides_bruhat_on_the_group(typ):
     rs = build_root_system(typ)
     group = list(_group(rs))
-    vectors = [anr._signed_permutation_vector(rs, w) for w in group]
+    vectors = [anr._signed_permutation_vector(_images_permutation(rs, w)) for w in group]
     for w, vw in zip(group, vectors):
         for u, vu in zip(group, vectors):
             assert all(a <= b for a, b in zip(vu, vw)) == weyl.bruhat_leq(rs, u, w)
+
+
+@pytest.mark.parametrize("typ", [f"{f}{n}" for f in "BC" for n in range(2, 8)])
+def test_signed_permutation_from_eps_supports_matches_the_element(typ):
+    rs = build_root_system(typ)
+    for node in anr_nodes(rs):
+        for s in strongly_orth_subsets(rs, anr_ideal(rs, node)):
+            expected = _images_permutation(rs, weyl._sigma_element(rs, s))
+            assert anr._signed_permutation(rs, s) == expected, (typ, node, sorted(s))
+
+
+@pytest.mark.parametrize("typ", all_types(7))
+def test_grouping_by_packed_key_matches_grouping_by_element(typ):
+    # the report groups its labels by t_S; grouping them by the Weyl element
+    # sigma_S must give the same collisions and so the same representatives
+    rs = build_root_system(typ)
+    for node in anr_nodes(rs):
+        report = conjecture_check(rs, node)
+        labels = [row.orth_set for row in report.rows]
+        by_element = {}
+        for s in labels:
+            by_element.setdefault(weyl._sigma_element(rs, s), []).append(s)
+        collisions = []
+        reps = set()
+        for group in by_element.values():
+            group.sort()
+            reps.add(group[0])
+            collisions.extend((group[0], s) for s in group[1:])
+        assert report.sigma_collisions == collisions, (typ, node)
+        assert set(labels) - {s for _, s in report.sigma_collisions} == reps

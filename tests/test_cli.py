@@ -234,6 +234,9 @@ def test_json_writer_matches_json_dumps(value):
     expected = json.dumps(value, indent=2, sort_keys=True)
     assert "".join(cli._json_pieces(value)) == expected
     assert cli._json_text(value, "") == expected
+    if isinstance(value, (list, tuple)):
+        # an iterator is written as the list of its items
+        assert "".join(cli._json_pieces(iter(value))) == expected
 
 
 @pytest.mark.parametrize("pieces", [1, 3])
@@ -609,19 +612,52 @@ def test_orbit_table_lines_match_orbit_records(capsys, typ, node):
 
 def test_orbit_table_makes_no_weyl_call(capsys, monkeypatch):
     rs = build_root_system("C5")
-    csv, text = _table_from_records(rs, anr.anr_ideal(rs, 4))
+    ideal = anr.anr_ideal(rs, 4)
+    csv, text = _table_from_records(rs, ideal)
+    # records in types A to D, and reports in types A, B and C, read sigma_S's
+    # length off the packed table and order it by vectors read off S
+    runs = [("orbits", typ, "--anr", node, "--json")
+            for typ, node in [("A5", "3"), ("B5", "1"), ("C5", "5"), ("D5", "5")]] + [
+        ("conjecture-check", "C5", "--node", "5", "--json"),
+        ("conjecture-check", "B5", "--node", "1", "--json"),
+        ("conjecture-check", "A5", "--node", "3", "--json")]
+    expected = {argv: run_cli(capsys, *argv) for argv in runs}
+    dense = orbits.lower_canonical(rs, ideal)
+    dense_length = weyl.length(rs, weyl._sigma_element(rs, dense))
 
     def refuse(*args):
         raise AssertionError("the orbit table called into the Weyl group")
 
-    for name in ("sigma_of_orth_set", "_sigma_element", "length"):
+    for name in ("sigma_of_orth_set", "_sigma_element", "length", "_reflection_table"):
         monkeypatch.setattr(weyl, name, refuse)
     code, out, err = run_cli(capsys, "orbits", "C5", "--anr", "5", "--csv")
     assert code == 0 and err == "" and out.splitlines() == csv
     code, out, err = run_cli(capsys, "orbits", "C5", "--anr", "5", "--dims", "--dual")
     assert code == 0 and err == "" and out.splitlines() == text
-    with pytest.raises(AssertionError, match="Weyl group"):
-        orbits.orbit_record(rs, anr.anr_ideal(rs, 4), ())
+    for argv, before in expected.items():
+        assert before[0] == 0 and run_cli(capsys, *argv) == before, argv
+    assert orbits.orbit_record(rs, ideal, ()).sigma_length == 0
+    assert orbits.orbit_record(rs, ideal, dense).sigma_length == dense_length
+
+
+@pytest.mark.parametrize("typ,node", [("A7", 4), ("B5", 1), ("C6", 6), ("D6", 6), ("D6", 1),
+                                      ("E6", 1), ("E7", 7)])
+def test_orbit_records_match_orbit_record(capsys, typ, node):
+    # orbits --json reads each root set's labels through a memo keyed by mask;
+    # orbit_record builds one record on its own
+    rs = build_root_system(typ)
+    ideal = anr.anr_ideal(rs, node - 1)
+    records = [orbits.orbit_record(rs, ideal, s).to_json(rs)
+               for s in orbits.strongly_orth_subsets(rs, ideal)]
+    code, out, err = run_cli(capsys, "orbits", typ, "--anr", str(node), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == records
+    built = list(orbits._records_json(rs, orbits._table_rows(
+        rs, ideal, orbits._label_masks(rs, ideal))))
+    assert built == records
+    # every entry holds its own lists
+    lists = [v for r in built for v in r.values() if isinstance(v, list)]
+    assert len({id(v) for v in lists}) == len(lists)
 
 
 # sha256 of `roots T` and `structure-table T --json` for every type of rank

@@ -3,14 +3,18 @@ import random
 
 import pytest
 
-from borel_orbits import build_root_system, min_elements
+from borel_orbits import build_root_system, min_elements, orbits, weyl
 from borel_orbits.ideals import (
+    _abelian_masks,
     abelian_nilradicals,
+    check_abelian_ideal,
     enumerate_abelian_ideals,
     maximal_abelian_ideals,
+    nilradical_mask,
 )
 from borel_orbits.intlin import smith_normal_form
 from borel_orbits.orbits import strongly_orth_subsets, upper_canonical
+from borel_orbits.root_system import _bits, _set_of
 from borel_orbits.suite import all_types
 from borel_orbits.weyl import (
     WeylElement,
@@ -386,3 +390,32 @@ def test_longest_element_inverts_levi_and_sends_theta_to_node():
         alpha = [0] * rs.rank
         alpha[node] = 1
         assert image == tuple(alpha)
+
+
+def _packed_case_labels(rs):
+    """Every label of every abelian ideal of rank <= 5; of the last node's
+    nilradical above that; of the maximal abelian ideals in E8."""
+    if rs.rank <= 5:
+        masks = _abelian_masks(rs)
+    elif rs.type.family == "E" and rs.rank == 8:
+        masks = [a.mask for a in maximal_abelian_ideals(rs)]
+    else:
+        masks = [nilradical_mask(rs, rs.rank - 1)]
+    return sorted({m for mask in masks
+                   for m in orbits._label_masks(rs, check_abelian_ideal(rs, _set_of(mask)))})
+
+
+@pytest.mark.parametrize("typ", all_types(5) + ["C8", "D8", "E7", "E8"])
+def test_packed_length_and_key_match_the_weyl_element(typ):
+    # E8 has no abelian nilradical, and its heights, up to 29, set the field width
+    rs = build_root_system(typ)
+    element_of_key = {}
+    for m in _packed_case_labels(rs):
+        s = _bits(m)
+        key = weyl._sigma_key(rs, s)
+        w = weyl._sigma_element(rs, s)
+        assert weyl._key_length(rs, key) == length(rs, w), (typ, s)
+        # t_S determines sigma_S ...
+        assert element_of_key.setdefault(key, w) == w, (typ, s)
+    # ... and sigma_S determines t_S
+    assert len(set(element_of_key.values())) == len(element_of_key)
