@@ -205,11 +205,11 @@ class ConjectureReport:
 
 # A report keeps one lower-set mask of m bits per distinct involution.
 # The largest it admits, as --json reports on a 2-vCPU Xeon: C9's 29,186
-# labels (exact test) in 8-11 s at 198 MB peak, with the JSON in batches;
-# the 6 x 6 rectangle of A11, 13,327 labels, in 3-4 s at 89 MB; D10's
-# 9,496 (lifted) in 16-25 s at 61 MB.  C10's 123,109 labels (about 1 GB
-# of masks) and D11's 35,696 (lifted) are refused from the count before
-# any label is built.
+# labels (exact test) in 3.2-3.5 s at 156 MB peak, with the JSON in
+# batches; the 6 x 6 rectangle of A11, 13,327 labels, in 1.2-1.4 s at
+# 83 MB; D10's 9,496 (lifted) in 12-15 s at 58 MB.  C10's 123,109
+# labels (about 1 GB of masks) and D11's 35,696 (lifted) are refused from
+# the count before any label is built.
 MAX_REPORT_LABELS = 1 << 15
 
 

@@ -49,8 +49,8 @@ class StructureTable:
         self.base_sign = base_sign
         # each pair reads only pairs with a smaller sum, built before it
         self._pos: Dict[Tuple[int, int], int] = {}
-        for g, diffs in enumerate(rs.diff_index):
-            pairs = [(i, j) for i, j in enumerate(diffs) if j > i]
+        for g, diffs in enumerate(rs.diff_rows):
+            pairs = sorted((i, j) for i, j in diffs.items() if j > i)
             if not pairs:
                 continue
             (a1, b1), *rest = pairs
@@ -71,10 +71,10 @@ class StructureTable:
             return 0
         rs = self.rs
         q = 0
-        cur = rs.sum_index[j][i]
-        while cur >= 0:
+        cur = rs.sum_rows[j].get(i)
+        while cur is not None:
             q += 1
-            cur = rs.sum_index[cur][i]
+            cur = rs.sum_rows[cur].get(i)
         return rs.coroot_pairing(rs.positive_roots[j], i) + q
 
     def _from_jacobi(self, a: int, b: int, g: int, a1: int) -> int:
@@ -83,11 +83,11 @@ class StructureTable:
         # a1 < a < b, so a1 - a and a1 - b are never positive roots
         rs = self.rs
         total = 0
-        c = rs.diff_index[a][a1]
-        if c >= 0:
+        c = rs.diff_rows[a].get(a1)
+        if c is not None:
             total += self._mixed(a, a1) * self._pos_lookup(c, b)
-        c = rs.diff_index[b][a1]
-        if c >= 0:
+        c = rs.diff_rows[b].get(a1)
+        if c is not None:
             total -= self._mixed(b, a1) * self._pos_lookup(c, a)
         val, rem = divmod(total, self._mixed(g, a1))
         if val == 0 or rem:
@@ -101,12 +101,12 @@ class StructureTable:
         """N_{beta_a, -beta_b} for a != b; 0 when beta_a - beta_b is no root."""
         # on a zero-sum triple x + y + z = 0, N_{x,y} / |z|^2 is cyclic
         rs = self.rs
-        c = rs.diff_index[a][b]
-        if c >= 0:  # beta_a - beta_b = beta_c: N_{a,-b} = N_{-b,-c} |c|^2 / |a|^2
+        c = rs.diff_rows[a].get(b)
+        if c is not None:  # beta_a - beta_b = beta_c: N_{a,-b} = N_{-b,-c} |c|^2 / |a|^2
             n, top = -self._pos_lookup(b, c), a
         else:
-            c = rs.diff_index[b][a]
-            if c < 0:
+            c = rs.diff_rows[b].get(a)
+            if c is None:
                 return 0
             n, top = self._pos_lookup(c, a), b  # N_{c,a} |c|^2 / |b|^2
         cn, cd = rs.root_norms[c].as_integer_ratio()
@@ -123,7 +123,7 @@ class StructureTable:
         if ia == ib and sa != sb:
             raise ValueError("opposite roots bracket into the Cartan, not a root vector")
         if sa == sb:
-            n = self._pos_lookup(ia, ib) if self.rs.sum_index[ia][ib] >= 0 else 0
+            n = self._pos_lookup(ia, ib) if ib in self.rs.sum_rows[ia] else 0
             return n if sa > 0 else -n
         return self._mixed(ia, ib) if sa > 0 else -self._mixed(ib, ia)
 
@@ -139,7 +139,7 @@ class StructureTable:
 
     def _build_chains(self, up: bool) -> tuple:
         rs = self.rs
-        step = rs.sum_index if up else rs.diff_index
+        step = rs.sum_rows if up else rs.diff_rows
         sign = 1 if up else -1
         out = []
         for delta in range(rs.num_positive):
@@ -147,7 +147,7 @@ class StructureTable:
             for cur in range(rs.num_positive):
                 entries = []
                 prod = 1
-                while step[cur][delta] >= 0:
+                while delta in step[cur]:
                     prod *= self.structure_constant(1, delta, sign, cur)
                     cur = step[cur][delta]
                     k = len(entries) + 1
@@ -296,12 +296,12 @@ def bracket(table: StructureTable, x: Mapping, y: Mapping) -> dict:
                     continue
                 # s1 b1 + s2 b2 is s1 (b1 + b2), s1 (b1 - b2) or s2 (b2 - b1)
                 if s1 == s2:
-                    idx, sgn = rs.sum_index[g1][g2], s1
-                elif rs.diff_index[g1][g2] >= 0:
-                    idx, sgn = rs.diff_index[g1][g2], s1
+                    idx, sgn = rs.sum_rows[g1].get(g2), s1
+                elif g2 in rs.diff_rows[g1]:
+                    idx, sgn = rs.diff_rows[g1][g2], s1
                 else:
-                    idx, sgn = rs.diff_index[g2][g1], s2
-                if idx < 0:
+                    idx, sgn = rs.diff_rows[g2].get(g1), s2
+                if idx is None:
                     continue
                 n = table.structure_constant(s1, g1, s2, g2)
                 add(("e", sgn, idx), c * n)

@@ -28,6 +28,7 @@ from .ideals import (
     maximal_abelian_ideals,
 )
 from .root_system import (
+    _labels,
     _parse_roots,
     _split_roots,
     build_root_system,
@@ -189,10 +190,6 @@ def _print_json(data) -> int:
     _write(_json_pieces(data))
     sys.stdout.write("\n")
     return 0
-
-
-def _labels(rs, roots):
-    return ",".join(rs.sorted_labels(roots))
 
 
 def _parse_vector(rs, text: str) -> dict:

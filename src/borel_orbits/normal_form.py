@@ -192,7 +192,7 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
     else:
         layer_of, shifts, hulls = _max_layer, rs.down_shift_masks, rs.down_masks
     what = "" if primal else "dual "
-    orth, diffs, ideal_mask = rs.orth_masks, rs.diff_index, a.mask
+    orth, diffs, ideal_mask = rs.orth_masks, rs.diff_rows, a.mask
     steps = []
     acc: list = []  # S in the order its layers were peeled
     s = shifted = 0
@@ -219,8 +219,8 @@ def _reduce(rs: RootSystem, ideal: Iterable[int], v: Mapping[int, Fraction],
             nu = (first & -first).bit_length() - 1
             # nu = gamma + delta (primal) or gamma - delta (dual), gamma in S
             for gamma in acc:
-                delta = diffs[nu][gamma] if primal else diffs[gamma][nu]
-                if delta >= 0:
+                delta = diffs[nu].get(gamma) if primal else diffs[gamma].get(nu)
+                if delta is not None:
                     break
             else:
                 raise AssertionError(f"{what}kill target is not a shift of S")

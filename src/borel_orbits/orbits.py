@@ -396,9 +396,8 @@ class OrbitRecord:
     sigma_abs_length: int
 
     def to_json(self, rs: RootSystem) -> dict:
-        # the root-set fields as sorted labels, the counts as they are
-        return {k: rs.sorted_labels(v) if isinstance(v, tuple) else v
-                for k, v in vars(self).items()}
+        row = self.orth_set, self.m_up, self.m_down, self.j_set, self.dual
+        return next(_records_json(rs, [tuple(map(_mask_of, row))]))
 
 
 def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> OrbitRecord:
@@ -418,12 +417,13 @@ def orbit_record(rs: RootSystem, ideal: Iterable[int], s: Iterable[int]) -> Orbi
 
 
 def _records_json(rs: RootSystem, rows: Iterable[Tuple[int, ...]]) -> Iterator[dict]:
-    """The OrbitRecord.to_json of each _table_rows row, read off its masks.
+    """The JSON orbit record of each _table_rows row, read off its masks.
 
-    Each root set's sorted labels are built once per mask for the call,
-    and every entry gets its own copy: every dual is itself a label, and
-    on C9 node 9 the 29,186 labels have 16,886 distinct M_S.  J_S is new
-    for every label, so it skips the memo.
+    OrbitRecord.to_json reads its one record here too, so the keys are
+    spelled once.  Each root set's sorted labels are built once per mask
+    for the call, and every entry gets its own copy: every dual is itself
+    a label, and on C9 node 9 the 29,186 labels have 16,886 distinct M_S.
+    J_S is new for every label, so it skips the memo.
     """
     labels = rs.labels
     memo: Dict[int, List[str]] = {}

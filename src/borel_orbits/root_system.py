@@ -21,10 +21,10 @@ their coefficient tuples.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 _RANK_RULES = {
@@ -47,10 +47,11 @@ _POSITIVE_COUNTS = {
     "G": lambda n: 6,
 }
 
-# The root-pair tables hold N^2 entries for N positive roots, so a type with
-# more roots is refused before the root walk.  At the cap, A80's 3,240 roots,
-# `roots A80` takes about 18 s at 356 MB peak RSS (Python 3.11, 2-vCPU Xeon),
-# near the orbit counter's memo cap; A200 would need about 14 GB.
+# A type with more positive roots is refused before the root walk.  At the
+# cap, A80's 3,240 roots, `roots A80` takes 2.0-2.3 s at 60 MB peak RSS
+# (Python 3.11, 2-vCPU Xeon).  Most of the build is the root walk's
+# cartan_pairing steps, which grow as about n^3 in A_n (in-process builds:
+# A40 0.28 s, A80 1.96 s), not the root-pair rows, which hold C(n+1,3) sums.
 MAX_POSITIVE_ROOTS = 3240
 
 
@@ -161,14 +162,14 @@ class RootSystem:
     (:meth:`coroot_pairing`), checked once to be 2 at mu = beta_k;
     ``root_norms`` and :meth:`inner` follow from the coroots.
 
-    The root-pair tables are built in one pass over the pairs i <= j: a
-    root beta_k = beta_i + beta_j fills ``sum_index`` (-1 for no root),
-    ``diff_index`` at (k, i) and (k, j), the sum-partner bitmasks
-    ``sum_masks`` and the shift bitmasks ``up_shift_masks`` (the roots
-    beta_i + beta_j) and ``down_shift_masks`` (the roots beta_k - beta_j).
-    ``orth_masks`` (strongly orthogonal roots) follow from these, and the
-    two dominance tables ``up_masks`` (the roots above) and ``down_masks``
-    (the roots below) from closures over the two shift tables.
+    The root pairs are one sparse table, built in one pass over the pairs
+    i < j: ``sum_rows[i]`` maps j to k for beta_i + beta_j = beta_k and
+    ``diff_rows[k]`` maps j to i for beta_k - beta_j = beta_i, with no
+    entry where there is no root.  The bitmasks ``sum_masks`` (the keys of
+    row i), ``up_shift_masks`` (its values) and ``down_shift_masks`` (the
+    roots of row k) are read off the rows; ``orth_masks`` (strongly
+    orthogonal roots) follow from these, and the two dominance tables
+    ``up_masks`` and ``down_masks`` from closures over the shift tables.
 
     Tables derived elsewhere (structure constants, the Weyl reflection
     table, the packed table of sigma_S lengths, Weyl descent chains, the
@@ -228,29 +229,25 @@ class RootSystem:
         npos = self.num_positive
         self.simple_indices = tuple(
             self.root_index[tuple(_unit(i, n))] for i in range(n))
-        sum_idx = [[-1] * npos for _ in range(npos)]
-        diff_idx = [[-1] * npos for _ in range(npos)]
-        sums = [0] * npos
-        up_shift = [0] * npos
-        down_shift = [0] * npos
-        for i, ri in enumerate(self.positive_roots):
-            for j in range(i, npos):
-                k = self.root_index.get(tuple(map(add, ri, self.positive_roots[j])))
-                if k is None:
-                    continue
-                sum_idx[i][j] = sum_idx[j][i] = k
-                diff_idx[k][j] = i
-                diff_idx[k][i] = j
-                sums[i] |= 1 << j
-                sums[j] |= 1 << i
-                up_shift[i] |= 1 << k
-                up_shift[j] |= 1 << k
-                down_shift[k] |= 1 << i | 1 << j
-        self.sum_index = tuple(tuple(row) for row in sum_idx)
-        self.diff_index = tuple(tuple(row) for row in diff_idx)
-        self.sum_masks = tuple(sums)
-        self.up_shift_masks = tuple(up_shift)
-        self.down_shift_masks = tuple(down_shift)
+        # each root as one int of 4-bit coefficient digits: no coefficient
+        # exceeds 6, so a pair sum never carries and is a root iff its int is
+        packed = [sum(c << 4 * t for t, c in enumerate(r)) for r in self.positive_roots]
+        packed_index = {p: k for k, p in enumerate(packed)}
+        heights = self.heights
+        sum_rows = self.sum_rows = tuple({} for _ in range(npos))
+        diff_rows = self.diff_rows = tuple({} for _ in range(npos))
+        for i, p in enumerate(packed):
+            # roots are numbered by height, so the partners j stop where
+            # ht beta_i + ht beta_j passes ht theta
+            for j in range(i + 1, bisect_right(heights, heights[-1] - heights[i])):
+                k = packed_index.get(p + packed[j])
+                if k is not None:
+                    sum_rows[i][j] = sum_rows[j][i] = k
+                    diff_rows[k][i], diff_rows[k][j] = j, i
+        sums = self.sum_masks = tuple(map(_mask_of, sum_rows))
+        up_shift = self.up_shift_masks = tuple(_mask_of(row.values()) for row in sum_rows)
+        # a difference row holds both partners of each pair, as keys and values
+        down_shift = self.down_shift_masks = tuple(map(_mask_of, diff_rows))
 
         # beta_j - beta_i and beta_i - beta_j are roots for j in i's shifts
         full = (1 << npos) - 1
@@ -377,6 +374,11 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.type}, {self.num_positive} positive roots)"
+
+
+def _labels(rs: RootSystem, roots: Iterable[int]) -> str:
+    """The sorted labels of the given roots, joined by commas."""
+    return ",".join(rs.sorted_labels(roots))
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,13 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import anr, normal_form, orbits, weyl
-from .cli import _labels
 from .ideals import (
     enumerate_abelian_ideals,
     ideal_from_shape,
     maximal_abelian_ideals,
 )
-from .root_system import _RANK_RULES, RootSystem, _parse_roots, build_root_system, min_elements
+from .root_system import (_RANK_RULES, RootSystem, _labels, _parse_roots, build_root_system,
+                          min_elements)
 
 DEFAULT_SEED = 20344
 
@@ -348,11 +348,9 @@ def item_12_structural(seed: int):
                 if not (rs.orth_masks[g1] >> g2) & 1:
                     continue
                 for d in range(rs.num_positive):
-                    if rs.sum_index[g1][d] >= 0 and rs.sum_index[g2][d] >= 0:
+                    if d in rs.sum_rows[g1] and d in rs.sum_rows[g2]:
                         return False, f"{rs.type}: up-shift sets intersect"
-                    down1 = rs.diff_index[g1][d]
-                    down2 = rs.diff_index[g2][d]
-                    if down1 in a and down2 in a:
+                    if rs.diff_rows[g1].get(d) in a and rs.diff_rows[g2].get(d) in a:
                         return False, f"{rs.type}: down-shift sets intersect"
     # the cascade restricts to the upper canonical set of every ideal
     for rs, a in _ideals_up_to_rank(5):

@@ -78,17 +78,17 @@ def _reference_constant(table, sa, ia, sb, ib):
     # the recursive rule over the same positive table, in Fractions
     rs = table.rs
     if sa > 0 and sb > 0:
-        return _reference_pos(table, ia, ib) if rs.sum_index[ia][ib] >= 0 else 0
+        return _reference_pos(table, ia, ib) if ib in rs.sum_rows[ia] else 0
     if sa < 0 and sb < 0:
         return -_reference_constant(table, 1, ia, 1, ib)
     if sa < 0:
         return -_reference_constant(table, sb, ib, sa, ia)
     # sa = +1, sb = -1: the cyclic rule on a zero-sum triple
-    if rs.diff_index[ia][ib] >= 0:
-        c = rs.diff_index[ia][ib]
+    if ib in rs.diff_rows[ia]:
+        c = rs.diff_rows[ia][ib]
         val = -_reference_pos(table, ib, c) * Fraction(rs.root_norms[c], rs.root_norms[ia])
-    elif rs.diff_index[ib][ia] >= 0:
-        c = rs.diff_index[ib][ia]
+    elif ia in rs.diff_rows[ib]:
+        c = rs.diff_rows[ib][ia]
         val = _reference_pos(table, c, ia) * Fraction(rs.root_norms[c], rs.root_norms[ib])
     else:
         return 0

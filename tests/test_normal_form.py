@@ -44,19 +44,19 @@ def eps(rs, text):
 
 def test_kill_check_chains_are_the_delta_strings():
     # the kill check reads table.chain(delta, not primal)[nu]: down from nu
-    # through diff_index on the primal side, up through sum_index on the dual
+    # through diff_rows on the primal side, up through sum_rows on the dual
     for typ in ("B4", "C4", "D5", "F4", "G2"):
         rs = build_root_system(typ)
         table = build_structure_table(rs)
         for delta in range(rs.num_positive):
-            for up, step in ((False, rs.diff_index), (True, rs.sum_index)):
+            for up, step in ((False, rs.diff_rows), (True, rs.sum_rows)):
                 chains = table.chain(delta, up)
                 for nu in range(rs.num_positive):
                     walk = []
-                    cur = step[nu][delta]
-                    while cur >= 0:
+                    cur = step[nu].get(delta)
+                    while cur is not None:
                         walk.append((cur, len(walk) + 1))
-                        cur = step[cur][delta]
+                        cur = step[cur].get(delta)
                     assert [(tgt, k) for tgt, _, k in chains[nu]] == walk
 
 

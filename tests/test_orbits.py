@@ -154,8 +154,7 @@ def test_warning_shift_down_is_within_ideal_not_positives(a5, shape331):
     # (S - positives) meets Delta+ in more roots than the ideal keeps
     s = {a5.theta_index}
     inside = shift_down(a5, shape331, s)
-    in_positives = {a5.diff_index[a5.theta_index][d]
-                    for d in range(a5.num_positive)} - {-1}
+    in_positives = a5.diff_rows[a5.theta_index].values()
     assert inside < frozenset(in_positives)
 
 
